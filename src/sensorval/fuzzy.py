@@ -2,8 +2,15 @@
 
 Fuzzification, rule firing, implication, aggregation over a sampled output
 domain, and centroid defuzzification. Systems are immutable after
-construction and inference is a pure function of (system, inputs), so a
-compiled form of each system is cached and shared freely across threads.
+construction and inference is a pure function of (system, inputs). Each
+system compiles its rulebase into lookup tables on first use and keeps
+them, so inference on a few rows runs a fixed number of numpy calls
+whatever the number of terms and rules (sum aggregation keeps one
+addition per rule, in rulebase order). The tables are shared freely
+across threads.
+
+A NaN input has membership 0 in a triangular or trapezoidal term and NaN
+in a gaussian one.
 """
 
 from __future__ import annotations
@@ -67,32 +74,50 @@ class MembershipFunction:
 
 def _evaluate_mf(kind: str, params: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     if kind == "gaussian":
-        sigma, center = params
-        z = (x - center) / sigma
-        return np.exp(-0.5 * z * z)
-    if kind == "triangular":
-        a, b, c = params
-        y = np.zeros_like(x)
-        if b > a:
-            m = (x > a) & (x < b)
-            y[m] = (x[m] - a) / (b - a)
-        if c > b:
-            m = (x > b) & (x < c)
-            y[m] = (c - x[m]) / (c - b)
-        y[x == b] = 1.0
-        return y
-    if kind == "trapezoidal":
-        a, b, c, d = params
-        y = np.zeros_like(x)
-        if b > a:
-            m = (x > a) & (x < b)
-            y[m] = (x[m] - a) / (b - a)
-        if d > c:
-            m = (x > c) & (x < d)
-            y[m] = (d - x[m]) / (d - c)
-        y[(x >= b) & (x <= c)] = 1.0
-        return y
+        return _gaussian(x, *params)
+    if kind in ("triangular", "trapezoidal"):
+        return _linear(x.reshape(1, -1), *_linear_table([params]))[0].reshape(x.shape)
     raise ValueError(f"unknown membership function kind: {kind!r}")
+
+
+def _gaussian(x, sigma, center):
+    """Gaussian membership; broadcasts over ``x`` and the parameters."""
+    z = (x - center) / sigma
+    return np.exp(-0.5 * z * z)
+
+
+def _linear_table(params: Sequence[tuple[float, ...]]) -> tuple[np.ndarray, ...]:
+    """Broadcast tables for triangle and trapezoid terms, one row each.
+
+    A triangle (a, b, c) enters as the trapezoid (a, b, b, c). Returns
+    ``(edge, width, lo, hi, b, c)``. The first four are stacked as
+    (2, terms, 1), rising limb over falling limb: the rising limb is
+    (x - a) / (b - a) on the open interval (a, b), the falling limb
+    (x - d) / (c - d), which is exactly (d - x) / (d - c), on (c, d).
+    A vertical edge has an empty interval, so its width is never used
+    and is stored as 1 to keep the division from warning. ``b`` and
+    ``c`` bound the plateau, (terms, 1).
+    """
+    p = np.array(
+        [q if len(q) == 4 else (q[0], q[1], q[1], q[2]) for q in params], dtype=float
+    ).reshape(-1, 4)[:, :, None]
+    a, b, c, d = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+    rise = np.where(b > a, b - a, 1.0)
+    fall = np.where(d > c, c - d, 1.0)
+    return np.stack([a, d]), np.stack([rise, fall]), np.stack([a, c]), np.stack([b, d]), b, c
+
+
+def _linear(x, edge, width, lo, hi, b, c):
+    """Trapezoid membership of ``x`` (terms, N) from ``_linear_table``.
+
+    Each limb holds on its open interval and the plateau [b, c] is 1;
+    later regions win where they meet. A NaN input lies in no region, so
+    its membership is 0 (a gaussian term gives NaN instead).
+    """
+    limb = (x - edge) / width
+    inside = (x > lo) & (x < hi)
+    y = np.where(inside[1], limb[1], np.where(inside[0], limb[0], 0.0))
+    return np.where((x >= b) & (x <= c), 1.0, y)
 
 
 def membership(mf: MembershipFunction, x) -> float:
@@ -207,6 +232,11 @@ class FuzzySystem:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "rules", tuple(self.rules))
 
+    @functools.cached_property
+    def _compiled(self) -> "_Compiled":
+        """Inference tables, built on first use and kept with the system."""
+        return _Compiled(self)
+
     def infer(self, values: Sequence[float]) -> "InferenceResult":
         return infer(self, values)
 
@@ -242,81 +272,158 @@ class BatchInference:
 
 
 class _Compiled:
-    """Precomputed arrays for fast repeated inference on one system."""
+    """Tables that let a block of rows run a fixed number of numpy calls
+    per implication tile, however many terms and rules there are.
+
+    Degrees: the input terms in one flat order, gaussian terms first and
+    triangles and trapezoids after them, each kind evaluated for all of
+    its terms in one broadcast expression. Below them sit their
+    complements 1 - degree, then a row of ones and a row of zeros.
+
+    Rules: AND rules first, OR rules after them. ``ante`` gathers each
+    rule's antecedent from the degree matrix, one row per input. A
+    negated entry points at the complement, and a don't-care entry at
+    the identity of the rule's connective (1 for AND, 0 for OR), so one
+    reduction per connective combines every rule.
+
+    Consequents: per output, a (terms, rules, 1) mask of the rules that
+    conclude each term, and, for sum aggregation, the (rule, term) pairs
+    in rulebase order, because the order of the additions is part of the
+    rounding.
+    """
 
     def __init__(self, system: FuzzySystem):
-        self.system = system
+        self.aggregation = system.aggregation
+        self.implication = system.implication
+        self.or_method = system.or_method
         self.in_lo = np.array([v.lo for v in system.inputs])
         self.in_hi = np.array([v.hi for v in system.inputs])
+
+        terms = [
+            (i, k, mf) for i, v in enumerate(system.inputs) for k, (_, mf) in enumerate(v.terms)
+        ]
+        for _, _, mf in terms:
+            if mf.kind not in MF_KINDS:
+                raise ValueError(f"unknown membership function kind: {mf.kind!r}")
+        gauss = [t for t in terms if t[2].kind == "gaussian"]
+        linear = [t for t in terms if t[2].kind != "gaussian"]
+        row = {(i, k): r for r, (i, k, _) in enumerate(gauss + linear)}
+        self.n_terms, self.n_gauss = len(terms), len(gauss)
+        self.gauss_input = np.array([i for i, _, _ in gauss], dtype=np.intp)
+        sigma_center = np.array([mf.params for _, _, mf in gauss], dtype=float).reshape(-1, 2)
+        self.gauss_params = (sigma_center[:, :1], sigma_center[:, 1:])
+        self.linear_input = np.array([i for i, _, _ in linear], dtype=np.intp)
+        self.linear_table = _linear_table([mf.params for _, _, mf in linear])
+        self.identities = np.array([[1.0], [0.0]])
+
+        order = sorted(range(len(system.rules)), key=lambda r: system.rules[r].connective == "or")
+        rules = [system.rules[r] for r in order]
+        ones, zeros = 2 * self.n_terms, 2 * self.n_terms + 1
+
+        def gather(rule: Rule, i: int, entry: int) -> int:
+            if entry == 0:
+                return zeros if rule.connective == "or" else ones
+            return row[i, abs(entry) - 1] + (self.n_terms if entry < 0 else 0)
+
+        self.ante = np.array(
+            [[gather(rule, i, e) for i, e in enumerate(rule.antecedent)] for rule in rules],
+            dtype=np.intp,
+        ).reshape(len(rules), len(system.inputs))
+        self.n_and = sum(rule.connective != "or" for rule in rules)
+        self.weights = np.array([rule.weight for rule in rules]).reshape(-1, 1)
+        self.and_op = np.minimum if system.and_method == "min" else np.multiply
+
         res = system.resolution
         self.grids = [v.grid(res) for v in system.outputs]
-        # (terms, res) membership of each output term on its grid
+        # (terms, 1, res) membership of each output term on its grid
         self.term_grids = [
-            np.stack([_evaluate_mf(mf.kind, mf.params, g) for _, mf in v.terms])
+            np.stack([_evaluate_mf(mf.kind, mf.params, g) for _, mf in v.terms])[:, None, :]
             for v, g in zip(system.outputs, self.grids)
         ]
         self.midpoints = np.array([(v.lo + v.hi) / 2.0 for v in system.outputs])
-        self.ante = np.array([r.antecedent for r in system.rules])      # (R, n_in)
-        self.cons = np.array([r.consequent for r in system.rules])      # (R, n_out)
-        self.weights = np.array([r.weight for r in system.rules])
-        self.is_or = np.array([r.connective == "or" for r in system.rules])
+        cons = np.array([rule.consequent for rule in rules], dtype=np.intp)
+        cons = cons.reshape(len(rules), len(system.outputs))
+        self.cons_mask = [
+            (cons[:, o] == np.arange(1, len(v.terms) + 1)[:, None])[:, :, None]
+            for o, v in enumerate(system.outputs)
+        ]
+        at = {r: p for p, r in enumerate(order)}
+        self.sum_pairs = [
+            [
+                (at[r], rule.consequent[o] - 1)
+                for r, rule in enumerate(system.rules)
+                if rule.consequent[o]
+            ]
+            for o in range(len(system.outputs))
+        ]
+
+    def degrees(self, clamped: np.ndarray) -> np.ndarray:
+        """(2 * terms + 2, rows): term degrees, their complements, 1 and 0."""
+        x = clamped.T
+        t, g = self.n_terms, self.n_gauss
+        deg = np.empty((2 * t + 2, clamped.shape[0]))
+        deg[:g] = _gaussian(x.take(self.gauss_input, axis=0), *self.gauss_params)
+        deg[g:t] = _linear(x.take(self.linear_input, axis=0), *self.linear_table)
+        np.subtract(1.0, deg[:t], out=deg[t : 2 * t])
+        deg[2 * t :] = self.identities
+        return deg
+
+    def strengths(self, deg: np.ndarray) -> np.ndarray:
+        """Weighted firing strength of every rule, in table order: (R, rows)."""
+        picked = deg.take(self.ante, axis=0)  # (R, inputs, rows)
+        s = np.empty((len(picked), deg.shape[1]))
+        a = self.n_and
+        self.and_op.reduce(picked[:a], axis=1, out=s[:a])
+        if self.or_method == "max":
+            np.maximum.reduce(picked[a:], axis=1, out=s[a:])
+        else:  # probor, input by input as c + (d - c * d)
+            s[a:] = picked[a:, 0]
+            for i in range(1, picked.shape[1]):
+                d = picked[a:, i]
+                s[a:] += d - s[a:] * d
+        s *= self.weights
+        return s
 
 
-@functools.lru_cache(maxsize=64)
-def _compiled(system: FuzzySystem) -> _Compiled:
-    return _Compiled(system)
-
-
-def _batch_strengths(comp: _Compiled, degrees: list[np.ndarray]) -> np.ndarray:
-    """Firing strength of every rule at every point: (R, N)."""
-    sys = comp.system
-    n = degrees[0].shape[1]
-    strengths = np.empty((len(sys.rules), n))
-    for r in range(len(sys.rules)):
-        combined = None
-        for i in range(len(sys.inputs)):
-            entry = comp.ante[r, i]
-            if entry == 0:
-                continue
-            d = degrees[i][abs(entry) - 1]
-            if entry < 0:
-                d = 1.0 - d
-            if combined is None:
-                combined = d.copy()
-            elif comp.is_or[r]:
-                if sys.or_method == "max":
-                    np.maximum(combined, d, out=combined)
-                else:
-                    combined += d - combined * d
-            else:
-                if sys.and_method == "min":
-                    np.minimum(combined, d, out=combined)
-                else:
-                    combined *= d
-        strengths[r] = combined * comp.weights[r]
-    return strengths
-
-
-# rows per inference block; at the default 101-point output grid each
-# (rows, grid) temporary is about 3 MB
+# rows per inference block; each (rows, grid) temporary is about 3 MB at
+# the default 101-point output grid
 _BLOCK_ROWS = 4096
+# rows per implication tile; the (terms, rows, grid) temporary is about
+# 600 kB with the default three output terms, so it stays in a core's L2
+# cache (a whole block's would be 10 MB)
+_TILE_ROWS = 256
 
 
 def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     """Run the full Mamdani pipeline at each row of ``points``.
 
     Inputs outside a variable's declared range are clamped first and the
-    point is flagged ``out_of_range``. An output whose aggregated
+    point is flagged ``out_of_range``; a NaN input is flagged too and
+    stays NaN, so its membership is 0 in a triangular or trapezoidal
+    term and NaN in a gaussian one. An output whose aggregated
     membership is identically zero falls back to the range midpoint and
     flags ``no_rule_fired``.
 
-    Rows are processed in blocks of ``_BLOCK_ROWS`` so the (rows, grid)
-    temporaries stay in cache. The elementwise steps are row-wise; the
-    centroid's dot product goes through BLAS, which may round a row's
-    result differently (by an ulp) depending on where the row falls in
-    the call.
+    The work runs on tables compiled once per system (``_Compiled``):
+    membership degrees by one broadcast expression per kind of term, rule
+    strengths by one gather and one reduction per connective, and term
+    strengths by one masked max. Up to ``_TILE_ROWS`` rows therefore cost
+    a fixed handful of numpy calls, so a single row is cheap. Rows are
+    processed in blocks of ``_BLOCK_ROWS``, and the implication, whose
+    temporary holds every output term, in tiles of ``_TILE_ROWS``, so the
+    temporaries stay in cache.
+
+    Every step is row-wise except the centroid's numerator, ``agg @
+    grid``, which goes through BLAS: the fast way to reduce a 4096-row
+    block. BLAS may round a row's result differently (by an ulp)
+    depending on where the row falls in the call and on the block size.
+    A row-wise sum would round differently again and can flip a decision:
+    an aggregate symmetric about 0.5 has a centroid of exactly 0.5 under
+    the product but 0.4999999999999999 under ``(agg * grid).sum(axis=1)``,
+    which falls below the default accept threshold. So the product and
+    the block size stay as they are.
     """
-    comp = _compiled(system)
+    comp = system._compiled
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != len(system.inputs):
         raise ValueError(
@@ -339,38 +446,27 @@ def _infer_block(
 ) -> None:
     """Inference for one block of clamped rows, written into ``values``
     and ``no_rule`` (views into the caller's result arrays)."""
-    system = comp.system
-    degrees = [var.fuzzify(clamped[:, i]) for i, var in enumerate(system.inputs)]
-    strengths = _batch_strengths(comp, degrees)
-
     n = clamped.shape[0]
-    for o in range(len(system.outputs)):
-        grid = comp.grids[o]
+    strengths = comp.strengths(comp.degrees(clamped))
+    for o, grid in enumerate(comp.grids):
         tgrids = comp.term_grids[o]
-        agg = np.zeros((n, grid.size))
-        if system.aggregation == "max":
-            # Rules sharing a consequent term can be collapsed first:
-            # max_r impl(s_r, g) == impl(max_r s_r, g) for min and prod.
-            for t in range(tgrids.shape[0]):
-                sel_pos = np.flatnonzero(comp.cons[:, o] == t + 1)
-                if sel_pos.size == 0:
-                    continue
-                s = strengths[sel_pos[0]]
-                for r in sel_pos[1:]:
-                    s = np.maximum(s, strengths[r])
-                if system.implication == "min":
-                    np.maximum(agg, np.minimum(s[:, None], tgrids[t][None, :]), out=agg)
+        if comp.aggregation == "max":
+            # max_r impl(s_r, g) == impl(max_r s_r, g) for min and prod, so
+            # the rules collapse into one strength per term first
+            s = np.where(comp.cons_mask[o], strengths, 0.0).max(axis=1, initial=0.0)
+            s = s[:, :, None]
+            agg = np.empty((n, grid.size))
+            for r in range(0, n, _TILE_ROWS):
+                tile = s[:, r : r + _TILE_ROWS]
+                impl = tile * tgrids if comp.implication == "prod" else np.minimum(tile, tgrids)
+                impl.max(axis=0, out=agg[r : r + _TILE_ROWS])
+        else:  # sum in rulebase order, clipped at 1
+            agg = np.zeros((n, grid.size))
+            for r, t in comp.sum_pairs[o]:
+                if comp.implication == "min":
+                    agg += np.minimum(strengths[r][:, None], tgrids[t])
                 else:
-                    np.maximum(agg, s[:, None] * tgrids[t][None, :], out=agg)
-        else:  # sum, clipped at 1
-            for r in range(len(system.rules)):
-                t = comp.cons[r, o]
-                if t == 0:
-                    continue
-                if system.implication == "min":
-                    agg += np.minimum(strengths[r][:, None], tgrids[t - 1][None, :])
-                else:
-                    agg += strengths[r][:, None] * tgrids[t - 1][None, :]
+                    agg += strengths[r][:, None] * tgrids[t]
             np.clip(agg, 0.0, 1.0, out=agg)
         area = agg.sum(axis=1)
         dead = area == 0.0

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .detectors import DetectorVerdict, PcaModel, Window, spe
+from .detectors import PcaModel, Window, _welford, spe
 from .features import Sample
 from .fuzzy import FuzzySystem, infer_batch
 
@@ -288,12 +288,11 @@ class SensorValidator:
         cfg = self.config
         if len(self.raw_window) >= 2:
             var = self.raw_window.variance()
-            if cfg.variance_enabled:
-                if DetectorVerdict("variance", var, cfg.variance_threshold).tripped:
-                    bits |= FLAG_BITS["variance_trip"]
+            if cfg.variance_enabled and var > cfg.variance_threshold:
+                bits |= FLAG_BITS["variance_trip"]
             if cfg.uncertainty_enabled:
                 unc = math.sqrt(var / len(self.raw_window))
-                if DetectorVerdict("uncertainty", unc, cfg.uncertainty_threshold).tripped:
+                if unc > cfg.uncertainty_threshold:
                     bits |= FLAG_BITS["uncertainty_trip"]
         return bits
 
@@ -622,7 +621,7 @@ def run_batch(
 
         window_vals = state.tail + [raw]
         if len(window_vals) >= 2:
-            _, _, m2 = _scalar_welford(window_vals)
+            _, _, m2 = _welford(window_vals)
             std = math.sqrt(max(m2, 0.0) / (len(window_vals) - 1))
         else:
             std = 0.0
@@ -772,14 +771,3 @@ def run_batch(
         reports.append(report)
     return BatchResult(t, v, out_conf, out_acc, out_rec, out_bits, reports, sensor_id)
 
-
-def _scalar_welford(values: Sequence[float]) -> tuple[int, float, float]:
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    for x in values:
-        n += 1
-        delta = x - mean
-        mean += delta / n
-        m2 += delta * (x - mean)
-    return n, mean, m2

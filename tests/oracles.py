@@ -131,6 +131,129 @@ def mamdani_reference(system, inputs, factor: int = 100):
     return values, dead
 
 
+def _loop_mf(kind: str, params, x: np.ndarray) -> np.ndarray:
+    """Membership by boolean masks, one term at a time."""
+    if kind == "gaussian":
+        sigma, center = params
+        z = (x - center) / sigma
+        return np.exp(-0.5 * z * z)
+    if kind == "triangular":
+        a, b, c = params
+        y = np.zeros_like(x)
+        if b > a:
+            m = (x > a) & (x < b)
+            y[m] = (x[m] - a) / (b - a)
+        if c > b:
+            m = (x > b) & (x < c)
+            y[m] = (c - x[m]) / (c - b)
+        y[x == b] = 1.0
+        return y
+    if kind == "trapezoidal":
+        a, b, c, d = params
+        y = np.zeros_like(x)
+        if b > a:
+            m = (x > a) & (x < b)
+            y[m] = (x[m] - a) / (b - a)
+        if d > c:
+            m = (x > c) & (x < d)
+            y[m] = (d - x[m]) / (d - c)
+        y[(x >= b) & (x <= c)] = 1.0
+        return y
+    raise ValueError(kind)
+
+
+def _loop_strengths(system, degrees) -> np.ndarray:
+    """Firing strength of every rule at every point, rule by rule and
+    input by input: (R, N)."""
+    n = degrees[0].shape[1]
+    strengths = np.empty((len(system.rules), n))
+    for r, rule in enumerate(system.rules):
+        combined = None
+        for i, entry in enumerate(rule.antecedent):
+            if entry == 0:
+                continue
+            d = degrees[i][abs(entry) - 1]
+            if entry < 0:
+                d = 1.0 - d
+            if combined is None:
+                combined = d.copy()
+            elif rule.connective == "or":
+                if system.or_method == "max":
+                    np.maximum(combined, d, out=combined)
+                else:
+                    combined += d - combined * d
+            else:
+                if system.and_method == "min":
+                    np.minimum(combined, d, out=combined)
+                else:
+                    combined *= d
+        strengths[r] = combined * rule.weight
+    return strengths
+
+
+def _loop_block(system, clamped: np.ndarray, values: np.ndarray, no_rule: np.ndarray) -> None:
+    degrees = [
+        np.stack([_loop_mf(mf.kind, mf.params, clamped[:, i]) for _, mf in var.terms])
+        for i, var in enumerate(system.inputs)
+    ]
+    strengths = _loop_strengths(system, degrees)
+    cons = np.array([r.consequent for r in system.rules]).reshape(len(system.rules), -1)
+    n = clamped.shape[0]
+    for o, var in enumerate(system.outputs):
+        grid = np.linspace(var.lo, var.hi, system.resolution)
+        tgrids = np.stack([_loop_mf(mf.kind, mf.params, grid) for _, mf in var.terms])
+        agg = np.zeros((n, grid.size))
+        if system.aggregation == "max":
+            for t in range(tgrids.shape[0]):
+                sel_pos = np.flatnonzero(cons[:, o] == t + 1)
+                if sel_pos.size == 0:
+                    continue
+                s = strengths[sel_pos[0]]
+                for r in sel_pos[1:]:
+                    s = np.maximum(s, strengths[r])
+                if system.implication == "min":
+                    np.maximum(agg, np.minimum(s[:, None], tgrids[t][None, :]), out=agg)
+                else:
+                    np.maximum(agg, s[:, None] * tgrids[t][None, :], out=agg)
+        else:  # sum, clipped at 1
+            for r in range(len(system.rules)):
+                t = cons[r, o]
+                if t == 0:
+                    continue
+                if system.implication == "min":
+                    agg += np.minimum(strengths[r][:, None], tgrids[t - 1][None, :])
+                else:
+                    agg += strengths[r][:, None] * tgrids[t - 1][None, :]
+            np.clip(agg, 0.0, 1.0, out=agg)
+        area = agg.sum(axis=1)
+        dead = area == 0.0
+        no_rule |= dead
+        safe = np.where(dead, 1.0, area)
+        values[:, o] = np.where(dead, (var.lo + var.hi) / 2.0, (agg @ grid) / safe)
+
+
+def loop_infer_batch(system, points: np.ndarray):
+    """The engine's arithmetic written as loops over terms, rules and
+    output terms: (values, no_rule_fired, out_of_range).
+
+    Unlike ``mamdani_reference``, this follows the engine step for step
+    (4096-row blocks, the same clamp, the same centroid product), so its
+    results must equal the engine's exactly, NaN and inf included.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    lo = np.array([v.lo for v in system.inputs])
+    hi = np.array([v.hi for v in system.inputs])
+    clamped = np.clip(pts, lo, hi)
+    out_of_range = np.any(clamped != pts, axis=1)
+    n = pts.shape[0]
+    values = np.empty((n, len(system.outputs)))
+    no_rule = np.zeros(n, dtype=bool)
+    for b in range(0, n, 4096):
+        rows = slice(b, b + 4096)
+        _loop_block(system, clamped[rows], values[rows], no_rule[rows])
+    return values, no_rule, out_of_range
+
+
 def two_pass_variance(values) -> float:
     n = len(values)
     if n < 2:

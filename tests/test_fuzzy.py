@@ -1,5 +1,7 @@
 """Membership, firing and inference behavior of the fuzzy engine."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +22,13 @@ from sensorval import (
     infer_batch,
 )
 
-from oracles import mamdani_reference, mf_scalar, random_system, rule_strength
+from oracles import (
+    loop_infer_batch,
+    mamdani_reference,
+    mf_scalar,
+    random_system,
+    rule_strength,
+)
 
 
 def test_gaussian_peak_is_one_at_center():
@@ -167,6 +175,17 @@ def test_no_rule_fired_falls_back_to_midpoint():
     assert res.values[0] == pytest.approx(2.0)
 
 
+def test_empty_rulebase_reports_no_rule_fired():
+    # validate_fis lets an empty rulebase through with a warning that
+    # every inference will report no_rule_fired
+    base = default_system()
+    for aggregation in ("max", "sum"):
+        system = dataclasses.replace(base, rules=(), aggregation=aggregation)
+        res = infer_batch(system, np.array([[200.0, 1.0, 1.0], [np.nan, 1.0, 1.0]]))
+        assert res.no_rule_fired.all()
+        assert np.array_equal(res.values, [[0.5], [0.5]])
+
+
 def test_resolution_convergence_is_cauchy():
     # Doubling the resolution should move the centroid less than the
     # previous doubling did, three doublings in a row.
@@ -292,6 +311,99 @@ def test_batch_matches_scalar_infer():
     for i in range(40):
         one = infer(system, pts[i])
         assert one.values[0] == pytest.approx(res.values[i, 0], abs=1e-12)
+
+
+def _with_edge_cases(system, rng):
+    """``system`` plus the shapes and rules a random draw rarely makes.
+
+    Every variable gains four terms with a vertical edge or a one-point
+    plateau (a == b, b == c in a triangle and in a trapezoid, c == d),
+    two of them on the range bounds, where clamped points land. Three
+    rules use them: one concluding nothing on some output (a consequent
+    entry of 0), one negating a term on every input, and one OR rule.
+    """
+    from sensorval.fisfile import validate_fis
+
+    def walled(var):
+        lo, hi = var.lo, var.hi
+        q1, mid, q3 = np.interp([0.25, 0.5, 0.75], [0.0, 1.0], [lo, hi])
+        extra = (
+            ("rise_wall", MembershipFunction.triangular(lo, lo, mid)),
+            ("fall_wall", MembershipFunction.triangular(q1, mid, mid)),
+            ("peak", MembershipFunction.trapezoidal(q1, mid, mid, q3)),
+            ("top_wall", MembershipFunction.trapezoidal(mid, q3, hi, hi)),
+        )
+        return dataclasses.replace(var, terms=var.terms + extra)
+
+    inputs = tuple(walled(v) for v in system.inputs)
+    outputs = tuple(walled(v) for v in system.outputs)
+
+    def term(var, new_only=False):
+        n = len(var.terms)
+        return int(rng.integers(n - 3, n + 1) if new_only else rng.integers(1, n + 1))
+
+    quiet = tuple(0 if o % 2 == 0 else term(v) for o, v in enumerate(outputs))
+    rules = system.rules + (
+        Rule(tuple(term(v, True) for v in inputs), quiet, 0.9, "and"),
+        Rule(tuple(-term(v) for v in inputs), tuple(term(v, True) for v in outputs), 0.7, "and"),
+        Rule(tuple(term(v, True) for v in inputs), tuple(term(v) for v in outputs), 1.0, "or"),
+    )
+    out = dataclasses.replace(system, inputs=inputs, outputs=outputs, rules=rules)
+    assert not [d for d in validate_fis(out) if d.severity == "error"]
+    return out
+
+
+def _hostile_points(system, n, rng):
+    """Points inside and outside every input's range, with NaN, +inf and
+    -inf, the range bounds, -0.0 and every term's corner points mixed in."""
+    cols = []
+    for var in system.inputs:
+        span = var.hi - var.lo
+        col = rng.uniform(var.lo - 0.1 * span, var.hi + 0.1 * span, n)
+        corners = np.array(
+            [var.lo, var.hi, -0.0] + [p for _, mf in var.terms for p in mf.params]
+        )
+        kind = rng.integers(0, 20, n)
+        col[kind == 0] = np.nan
+        col[kind == 1] = np.inf
+        col[kind == 2] = -np.inf
+        at_corner = (kind >= 3) & (kind < 6)
+        col[at_corner] = rng.choice(corners, int(np.sum(at_corner)))
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+_METHODS = list(
+    itertools.product(("min", "prod"), ("max", "probor"), ("min", "prod"), ("max", "sum"))
+)
+
+
+@pytest.mark.parametrize("case", ["default"] + ["-".join(m) for m in _METHODS])
+def test_engine_equals_loop_reference_exactly(case):
+    # the compiled engine must reproduce the per-term, per-rule loops bit
+    # for bit: outputs feed accept/reject decisions at exact thresholds
+    rng = np.random.default_rng(list(map(ord, case)))
+    if case == "default":
+        system = default_system()
+    else:
+        and_m, or_m, imp, agg = case.split("-")
+        # the grid size only sets the centroid's sample count; a small one
+        # keeps the 10k-row blocks light
+        system = dataclasses.replace(
+            _with_edge_cases(random_system(rng), rng),
+            and_method=and_m,
+            or_method=or_m,
+            implication=imp,
+            aggregation=agg,
+            resolution=int(rng.integers(2, 202)),
+        )
+    for n in (1, 4096, 4097, 10_000):
+        pts = _hostile_points(system, n, rng)
+        got = infer_batch(system, pts)
+        values, no_rule, out_of_range = loop_infer_batch(system, pts)
+        assert np.array_equal(got.values, values, equal_nan=True)
+        assert np.array_equal(got.no_rule_fired, no_rule)
+        assert np.array_equal(got.out_of_range, out_of_range)
 
 
 def test_infer_rejects_wrong_arity():
