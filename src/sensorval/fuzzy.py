@@ -120,11 +120,6 @@ def _linear(x, edge, width, lo, hi, b, c):
     return np.where((x >= b) & (x <= c), 1.0, y)
 
 
-def membership(mf: MembershipFunction, x) -> float:
-    """Degree of membership of ``x`` in ``mf``."""
-    return mf(x)
-
-
 @dataclass(frozen=True)
 class LinguisticVariable:
     """A named variable over a finite range with ordered linguistic terms."""

@@ -8,17 +8,25 @@ readings are replaced by that estimate so one bad sample cannot poison
 the statistics that judge the next one. Runs of very low confidence
 become fault reports.
 
-Two execution paths share these semantics:
+One state machine, two drivers. ``SensorValidator`` holds a sensor's
+state and is the only home of each rule that changes it: the regressed
+reading, the reanchor, accepting and rejecting. Two drivers feed it:
 
-  * ``SensorValidator.step`` - the scalar reference, one Sample at a time
-  * ``Validator.run_batch`` - a vectorized path that processes accepted
-    stretches as numpy chunks and drops back to scalar logic around
-    rejected samples
+  * ``SensorValidator.step`` judges one reading on Python floats
+  * ``run_batch`` judges a recorded stream in numpy blocks: features and
+    inference for every row as if all were accepted, then it commits the
+    accepted prefix and the first rejected row, whose features are exact,
+    and starts the next block after it
 
-The two paths agree exactly on decisions except for readings whose
-confidence lands within float round-off (~1e-12) of a threshold, because
-windowed statistics accumulate in a different order. Each path on its
-own is fully deterministic for a given config and input stream.
+Both drivers compute window statistics with a fresh Welford pass in the
+same order, so their features agree bit for bit. One difference remains:
+``infer_batch`` takes the centroid as ``agg @ grid`` through BLAS, which
+rounds a row by its position in the call. A confidence can therefore
+differ by an ulp between a row inferred alone and the same row inside a
+block, and at an exact tie with ``accept_threshold`` that can flip the
+decision (an aggregate symmetric about 0.5 has a centroid of exactly
+0.5). Each driver on its own is fully deterministic for a given config
+and input stream.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .detectors import PcaModel, Window, _welford, spe
+from .detectors import PcaModel, _welford, spe
 from .features import Sample
 from .fuzzy import FuzzySystem, infer_batch
 
@@ -263,8 +271,20 @@ def _confidence_scale(system: FuzzySystem) -> tuple[float, float]:
     return out.lo, out.hi - out.lo
 
 
+def _window_var(values: list[float]) -> tuple[float, int]:
+    """Fresh Welford variance of a window and its length; NaN below 2."""
+    n, _, m2 = _welford(values)
+    return (max(m2, 0.0) / (n - 1) if n >= 2 else math.nan), n
+
+
 class SensorValidator:
-    """Scalar reference pipeline for a single sensor."""
+    """One sensor's validation state, and every rule that changes it.
+
+    ``step`` is the row driver; ``run_batch`` drives the same state
+    through ``_block``. The tails hold the last ``window - 1`` raw and
+    validated readings; the window that judges a reading is its tail plus
+    the reading itself.
+    """
 
     def __init__(self, config: PipelineConfig, sensor_id: str = ""):
         config.validate()
@@ -272,124 +292,86 @@ class SensorValidator:
         self.sensor_id = sensor_id
         self.system = config.resolved_system()
         self._conf_lo, self._conf_span = _confidence_scale(self.system)
-        self.fis_window = Window(config.window)   # validated history
-        self.raw_window = Window(config.window)   # detector history
         self.est: float | None = None
         self.prev_t: float | None = None
         self.prev_accepted: float | None = None
         self.rejections = 0   # consecutive reconstructions
         self.seen = 0
+        self.raw_tail: list[float] = []   # detector history
+        self.tail: list[float] = []       # validated history
         self.tracker = FaultTracker(sensor_id, config.fault_threshold, config.report_after)
         self.reports: list[FaultReport] = []
         self._finalized = False
 
-    def _detector_bits(self) -> int:
-        bits = 0
+    # the rules, which both drivers call
+
+    def _keep(self, report: FaultReport | None) -> None:
+        if report:
+            self.reports.append(report)
+
+    def _regressed(self, t: float, v: float, bits: int) -> tuple[float, float, bool, int]:
+        """Reject an out-of-order reading without touching the windows."""
+        bits |= FLAG_BITS["time_regression"]
+        if self.seen > self.config.warmup:
+            self._keep(self.tracker.observe(t, v, 0.0, bits))
+        if self.est is None:
+            return 0.0, v, False, bits
+        return 0.0, self.est, True, bits
+
+    def _reanchor_due(self) -> bool:
         cfg = self.config
-        if len(self.raw_window) >= 2:
-            var = self.raw_window.variance()
-            if cfg.variance_enabled and var > cfg.variance_threshold:
-                bits |= FLAG_BITS["variance_trip"]
-            if cfg.uncertainty_enabled:
-                unc = math.sqrt(var / len(self.raw_window))
-                if unc > cfg.uncertainty_threshold:
-                    bits |= FLAG_BITS["uncertainty_trip"]
-        return bits
+        return bool(cfg.reanchor_after) and self.rejections >= cfg.reanchor_after
 
-    def step(self, sample: Sample, extra_flagbits: int = 0) -> ValidationOutcome:
-        """Judge one reading and update all streaming state."""
-        cfg = self.config
-        t, v = sample.timestamp, sample.value
-
-        if self.prev_t is not None and t < self.prev_t:
-            # out-of-order reading: reject without touching the windows
-            bits = FLAG_BITS["time_regression"] | extra_flagbits
-            accepted = self.est if self.est is not None else v
-            reconstructed = self.est is not None
-            if self.seen > cfg.warmup:
-                report = self.tracker.observe(t, v, 0.0, bits)
-                if report:
-                    self.reports.append(report)
-            return ValidationOutcome(
-                timestamp=t,
-                sensor_id=sample.sensor_id or self.sensor_id,
-                raw=v,
-                confidence=0.0,
-                accepted=accepted,
-                reconstructed=reconstructed,
-                flags=flags_from_bits(bits),
-            )
-
-        self.seen += 1
-        warm = self.seen <= cfg.warmup
-        bits = extra_flagbits
-
-        if cfg.reanchor_after and self.rejections >= cfg.reanchor_after:
+    def _reanchor_if_due(self) -> None:
+        if self._reanchor_due():
             # nothing has been believable for a long time: the world most
             # likely moved (level shift), so restart the estimate from the
             # live signal instead of rejecting forever
             self.est = None
             self.prev_accepted = None
-            self.fis_window = Window(cfg.window)
+            self.tail = []
             self.rejections = 0
 
-        if self.prev_t is None or self.prev_accepted is None:
-            roc = 0.0
-        else:
-            dt = t - self.prev_t
-            if dt == 0.0:
-                roc = 0.0
-                bits |= FLAG_BITS["zero_interval"]
-            else:
-                roc = abs(v - self.prev_accepted) / dt
-
-        self.fis_window.push(v)
-        self.raw_window.push(v)
-        std = self.fis_window.std() if len(self.fis_window) >= 2 else 0.0
-
-        res = infer_batch(self.system, np.array([[v, roc, std]]))
-        conf = (float(res.values[0, 0]) - self._conf_lo) / self._conf_span
-        conf = min(max(conf, 0.0), 1.0)
-        if res.no_rule_fired[0]:
-            conf = 0.0
-            bits |= FLAG_BITS["no_rule_fired"]
-        if res.out_of_range[0]:
-            bits |= FLAG_BITS["out_of_range"]
-        bits |= self._detector_bits()
-
-        if warm:
-            bits |= FLAG_BITS["warmup"]
-            accepted = v
-            reconstructed = False
-            self.est = v if self.est is None else (
-                cfg.reconstruction_alpha * v + (1 - cfg.reconstruction_alpha) * self.est
-            )
-            self.rejections = 0
-        elif conf >= cfg.accept_threshold:
-            accepted = v
-            reconstructed = False
-            self.est = v if self.est is None else (
-                cfg.reconstruction_alpha * v + (1 - cfg.reconstruction_alpha) * self.est
-            )
-            self.rejections = 0
-        else:
-            if self.est is None:
-                accepted = v
-                reconstructed = False
-                self.rejections = 0
-            else:
-                accepted = self.est
-                reconstructed = True
-                self.fis_window.replace_last(accepted)
-                self.rejections += 1
-
-        if not warm:
-            report = self.tracker.observe(t, v, conf, bits)
-            if report:
-                self.reports.append(report)
-
+    def _push(self, t: float, raw: list[float], accepted: list[float]) -> None:
+        keep = self.config.window - 1
+        self.raw_tail += raw[-keep:]
+        del self.raw_tail[:-keep]
+        self.tail += accepted[-keep:]
+        del self.tail[:-keep]
         self.prev_t = t
-        self.prev_accepted = accepted
+        self.prev_accepted = accepted[-1]
+
+    def _accept(self, t: float, values: list[float]) -> None:
+        """Take in-order readings as they are; ``t`` is the last one's time."""
+        alpha = self.config.reconstruction_alpha
+        est = self.est
+        for x in values:
+            est = x if est is None else alpha * x + (1 - alpha) * est
+        self.est = est
+        self.rejections = 0
+        # an accepted reading closes any episode (none is open in warm-up)
+        self._keep(self.tracker.close())
+        self._push(t, values, values)
+
+    def _reject(self, t: float, v: float, conf: float, bits: int) -> tuple[float, bool]:
+        """Replace a distrusted reading by the estimate, once there is one."""
+        if self.est is None:
+            accepted, reconstructed = v, False
+            self.rejections = 0
+        else:
+            accepted, reconstructed = self.est, True
+            self.rejections += 1
+        self._keep(self.tracker.observe(t, v, conf, bits))
+        self._push(t, [v], [accepted])
+        return accepted, reconstructed
+
+    # the drivers
+
+    def step(self, sample: Sample, extra_flagbits: int = 0) -> ValidationOutcome:
+        """Judge one reading and update all streaming state."""
+        t, v = sample.timestamp, sample.value
+        judge = self._regressed if self.prev_t is not None and t < self.prev_t else self._row
+        conf, accepted, reconstructed, bits = judge(t, v, extra_flagbits)
         return ValidationOutcome(
             timestamp=t,
             sensor_id=sample.sensor_id or self.sensor_id,
@@ -400,13 +382,104 @@ class SensorValidator:
             flags=flags_from_bits(bits),
         )
 
+    def _row(self, t: float, v: float, bits: int) -> tuple[float, float, bool, int]:
+        """Judge one in-order reading on Python floats."""
+        cfg = self.config
+        self.seen += 1
+        self._reanchor_if_due()
+
+        if self.prev_accepted is None:
+            roc = 0.0
+        else:
+            dt = t - self.prev_t
+            if dt == 0.0:
+                roc = 0.0
+                bits |= FLAG_BITS["zero_interval"]
+            else:
+                roc = abs(v - self.prev_accepted) / dt
+
+        raw_var, n = _window_var(self.raw_tail + [v])
+        var, m = (raw_var, n) if self.tail == self.raw_tail else _window_var(self.tail + [v])
+        if cfg.variance_enabled and raw_var > cfg.variance_threshold:
+            bits |= FLAG_BITS["variance_trip"]
+        if cfg.uncertainty_enabled and math.sqrt(raw_var / n) > cfg.uncertainty_threshold:
+            bits |= FLAG_BITS["uncertainty_trip"]
+        std = math.sqrt(var) if m >= 2 else 0.0
+
+        res = infer_batch(self.system, np.array([[v, roc, std]]))
+        conf = (float(res.values[0, 0]) - self._conf_lo) / self._conf_span
+        conf = min(max(conf, 0.0), 1.0)
+        if res.no_rule_fired[0]:
+            conf = 0.0
+            bits |= FLAG_BITS["no_rule_fired"]
+        if res.out_of_range[0]:
+            bits |= FLAG_BITS["out_of_range"]
+
+        if self.seen <= cfg.warmup:
+            self._accept(t, [v])
+            return conf, v, False, bits | FLAG_BITS["warmup"]
+        if conf >= cfg.accept_threshold:
+            self._accept(t, [v])
+            return conf, v, False, bits
+        return (conf, *self._reject(t, v, conf, bits), bits)
+
+    def _block(self, out: BatchResult, p: int, e: int) -> int:
+        """Judge in-order readings p..e-1 of ``out`` as one numpy block.
+
+        Features and inference assume every row is accepted. The accepted
+        prefix is committed in bulk, then the first rejected row, whose
+        features are exact because only accepted rows precede it. Returns
+        the index of the first row left unjudged. Needs an estimate and a
+        previous reading, past warm-up and with no reanchor due.
+        """
+        cfg = self.config
+        seg_t, seg_v = out.timestamps[p:e], out.raw[p:e]
+        dts = np.diff(seg_t, prepend=self.prev_t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roc = np.where(dts == 0.0, 0.0, np.abs(np.diff(seg_v, prepend=self.prev_accepted)) / dts)
+        var, counts = _rolling_welford(seg_v, np.asarray(self.tail), cfg.window)
+        if self.raw_tail == self.tail:
+            raw_var, raw_counts = var, counts
+        else:
+            raw_var, raw_counts = _rolling_welford(seg_v, np.asarray(self.raw_tail), cfg.window)
+        std = np.sqrt(np.where(counts >= 2, var, 0.0))
+
+        res = infer_batch(self.system, np.column_stack([seg_v, roc, std]))
+        conf = np.clip((res.values[:, 0] - self._conf_lo) / self._conf_span, 0.0, 1.0)
+        conf[res.no_rule_fired] = 0.0
+        bits = (
+            res.no_rule_fired * FLAG_BITS["no_rule_fired"]
+            | res.out_of_range * FLAG_BITS["out_of_range"]
+            | (dts == 0.0) * FLAG_BITS["zero_interval"]
+        )
+        if cfg.variance_enabled:
+            bits |= (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
+        if cfg.uncertainty_enabled:
+            unc = np.sqrt(raw_var / raw_counts)
+            bits |= (unc > cfg.uncertainty_threshold) * FLAG_BITS["uncertainty_trip"]
+
+        ok = conf >= cfg.accept_threshold
+        stop = len(ok) if ok.all() else int(np.argmin(ok))
+        if stop:
+            out.confidence[p : p + stop] = conf[:stop]
+            out.accepted[p : p + stop] = seg_v[:stop]
+            out.flagbits[p : p + stop] = bits[:stop]
+            self.seen += stop
+            self._accept(float(seg_t[stop - 1]), seg_v[:stop].tolist())
+        if p + stop == e:
+            return e
+        i = p + stop
+        c, b = float(conf[stop]), int(bits[stop])
+        self.seen += 1
+        out.confidence[i], out.flagbits[i] = c, b
+        out.accepted[i], out.reconstructed[i] = self._reject(float(seg_t[stop]), float(seg_v[stop]), c, b)
+        return i + 1
+
     def finalize(self) -> list[FaultReport]:
         """Close any open episode and return all reports for this sensor."""
         if not self._finalized:
             self._finalized = True
-            report = self.tracker.close()
-            if report:
-                self.reports.append(report)
+            self._keep(self.tracker.close())
         return list(self.reports)
 
 
@@ -454,7 +527,7 @@ class Validator:
 
 @dataclass
 class BatchResult:
-    """Columnar outcomes of the vectorized path for one sensor."""
+    """Columnar outcomes of ``run_batch`` for one sensor."""
 
     timestamps: np.ndarray
     raw: np.ndarray
@@ -496,12 +569,13 @@ def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> tuple[
     m2 = np.zeros(k)
     # the first windows are still filling: the one at i spans full[:t+i+1]
     head = min(k, max(0, width - 1 - t))
-    for off in range(t + head):
-        act = slice(max(0, off - t), head)
-        x = full[off]
-        delta = x - mean[act]
-        mean[act] += delta / (off + 1)
-        m2[act] += delta * (x - mean[act])
+    if head:
+        for off in range(t + head):
+            act = slice(max(0, off - t), head)
+            x = full[off]
+            delta = x - mean[act]
+            mean[act] += delta / (off + 1)
+            m2[act] += delta * (x - mean[act])
     # every later window is full: each offset is a contiguous slice
     full_mean, full_m2 = mean[head:], m2[head:]
     lo = t + head - width + 1
@@ -516,32 +590,25 @@ def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> tuple[
     return var, counts
 
 
-class _BatchState:
-    """Sequential state carried between vectorized stretches."""
-
-    def __init__(self, config: PipelineConfig, sensor_id: str):
-        self.est: float | None = None
-        self.prev_t: float | None = None
-        self.prev_accepted: float | None = None
-        self.rejections = 0
-        self.seen = 0
-        self.tail: list[float] = []  # last window-1 validated values
-        self.tracker = FaultTracker(sensor_id, config.fault_threshold, config.report_after)
-
-
 def run_batch(
     config: PipelineConfig,
     timestamps: np.ndarray,
     values: np.ndarray,
     sensor_id: str = "",
 ) -> BatchResult:
-    """Vectorized single-sensor validation over parallel arrays.
+    """Validate one sensor's recorded stream, given as parallel arrays.
 
-    Matches ``SensorValidator`` semantics (see module docstring for the
-    one rounding caveat). PCA/SPE fusion is a multi-sensor concern and is
-    not applied here; use ``Validator.step`` when a model is configured.
+    A ``SensorValidator`` judges it: rows it cannot take as a block
+    (warm-up, no estimate yet, a reanchor due, a regressed timestamp) go
+    through the row driver, everything else through blocks of 1024 rows,
+    64 after a rejection and four times as many after a fully accepted
+    block, up to 65536. Outcomes and reports are those of
+    ``SensorValidator.step`` on the same readings with finite timestamps,
+    up to the centroid rounding described in the module docstring. PCA/SPE fusion is a
+    multi-sensor concern and is not applied here; use ``Validator.step``
+    when a model is configured.
     """
-    config.validate()
+    sv = SensorValidator(config, sensor_id)
     if config.spe_model is not None:
         raise ConfigError("run_batch does not support SPE fusion; use Validator.step")
     t = np.asarray(timestamps, dtype=float)
@@ -549,225 +616,30 @@ def run_batch(
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("timestamps and values must be equal-length 1-D arrays")
     n = t.size
-    system = config.resolved_system()
-    conf_lo, conf_span = _confidence_scale(system)
-    w = config.window
-    alpha = config.reconstruction_alpha
+    out = BatchResult(
+        t, v, np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint16), [], sensor_id
+    )
 
-    out_conf = np.zeros(n)
-    out_acc = np.empty(n)
-    out_rec = np.zeros(n, dtype=bool)
-    out_bits = np.zeros(n, dtype=np.uint16)
-
-    if n == 0:
-        return BatchResult(t, v, out_conf, out_acc, out_rec, out_bits, [], sensor_id)
-
-    # time regressions: a sample is rejected when its timestamp precedes
-    # the newest valid timestamp so far, which is a running maximum
-    cummax = np.maximum.accumulate(t)
-    reg = np.zeros(n, dtype=bool)
-    reg[1:] = t[1:] < cummax[:-1]
-    valid_idx = np.flatnonzero(~reg)
-    tv = t[valid_idx]
-    vv = v[valid_idx]
-    m = tv.size
-
-    # detector flags depend only on the raw history of valid samples
-    det_bits = np.zeros(m, dtype=np.uint16)
-    if m:
-        var, counts = _rolling_welford(vv, np.empty(0), w)
-        have = counts >= 2
-        if config.variance_enabled:
-            det_bits[have & (var > config.variance_threshold)] |= FLAG_BITS["variance_trip"]
-        if config.uncertainty_enabled:
-            unc = np.sqrt(var[have] / counts[have])
-            hit = np.zeros(m, dtype=bool)
-            hit[have] = unc > config.uncertainty_threshold
-            det_bits[hit] |= FLAG_BITS["uncertainty_trip"]
-
-    zero_dt = np.zeros(m, dtype=bool)
-    if m > 1:
-        zero_dt[1:] = np.diff(tv) == 0.0
-
-    state = _BatchState(config, sensor_id)
-    reports: list[FaultReport] = []
-
-    def observe(ts: float, raw: float, conf: float, bits: int) -> None:
-        report = state.tracker.observe(ts, raw, conf, bits)
-        if report:
-            reports.append(report)
-
-    def scalar_step(j: int) -> None:
-        """Reference semantics for valid sample j, writing outcome row."""
-        i = valid_idx[j]
-        ts, raw = tv[j], vv[j]
-        state.seen += 1
-        warm = state.seen <= config.warmup
-        bits = int(det_bits[j])
-
-        if config.reanchor_after and state.rejections >= config.reanchor_after:
-            state.est = None
-            state.prev_accepted = None
-            state.tail = []
-            state.rejections = 0
-
-        if state.prev_accepted is None:
-            roc = 0.0
-        elif zero_dt[j]:
-            roc = 0.0
-            bits |= FLAG_BITS["zero_interval"]
-        else:
-            roc = abs(raw - state.prev_accepted) / (ts - state.prev_t)
-
-        window_vals = state.tail + [raw]
-        if len(window_vals) >= 2:
-            _, _, m2 = _welford(window_vals)
-            std = math.sqrt(max(m2, 0.0) / (len(window_vals) - 1))
-        else:
-            std = 0.0
-
-        res = infer_batch(system, np.array([[raw, roc, std]]))
-        conf = (float(res.values[0, 0]) - conf_lo) / conf_span
-        conf = min(max(conf, 0.0), 1.0)
-        if res.no_rule_fired[0]:
-            conf = 0.0
-            bits |= FLAG_BITS["no_rule_fired"]
-        if res.out_of_range[0]:
-            bits |= FLAG_BITS["out_of_range"]
-
-        if warm:
-            bits |= FLAG_BITS["warmup"]
-            accepted = raw
-            rec = False
-            state.est = raw if state.est is None else alpha * raw + (1 - alpha) * state.est
-            state.rejections = 0
-        elif conf >= config.accept_threshold:
-            accepted = raw
-            rec = False
-            state.est = raw if state.est is None else alpha * raw + (1 - alpha) * state.est
-            state.rejections = 0
-        else:
-            if state.est is None:
-                accepted = raw
-                rec = False
-                state.rejections = 0
-            else:
-                accepted = state.est
-                rec = True
-                state.rejections += 1
-        if not warm:
-            observe(ts, raw, conf, bits)
-
-        state.tail.append(accepted)
-        if len(state.tail) > w - 1:
-            del state.tail[: len(state.tail) - (w - 1)]
-        state.prev_t = ts
-        state.prev_accepted = accepted
-        out_conf[i] = conf
-        out_acc[i] = accepted
-        out_rec[i] = rec
-        out_bits[i] = bits
-
-    # regressed samples interleave with valid ones; emit them from the
-    # state as of their position in the stream
-    reg_idx = np.flatnonzero(reg)
-    next_reg = 0
-
-    def emit_regressions_before(valid_pos: int) -> None:
-        nonlocal next_reg
-        boundary = valid_idx[valid_pos] if valid_pos < m else n
-        while next_reg < len(reg_idx) and reg_idx[next_reg] < boundary:
-            i = reg_idx[next_reg]
-            bits = FLAG_BITS["time_regression"]
-            out_conf[i] = 0.0
-            out_acc[i] = state.est if state.est is not None else v[i]
-            out_rec[i] = state.est is not None
-            out_bits[i] = bits
-            if state.seen > config.warmup:
-                observe(t[i], v[i], 0.0, bits)
-            next_reg += 1
-
-    # a vector stretch must not span a regressed sample, whose outcome
-    # depends on the state at its exact stream position
-    breaks = np.flatnonzero(np.diff(valid_idx) > 1)
-    bi = 0
-
-    chunk = 1024
-    max_chunk = 65536
+    # a reading is regressed when its timestamp precedes the newest one
+    # so far; a block must not span one, whose outcome depends on the
+    # state at its exact position
+    regressed = (np.flatnonzero(t[1:] < np.maximum.accumulate(t)[:-1]) + 1).tolist() + [n]
+    r = 0
+    block = 1024
     p = 0
-    while p < m:
-        emit_regressions_before(p)
-        if (
-            state.seen < config.warmup
-            or state.est is None
-            or (config.reanchor_after and state.rejections >= config.reanchor_after)
-        ):
-            scalar_step(p)
+    while p < n:
+        at_regressed = p == regressed[r]
+        if at_regressed or sv.seen < config.warmup or sv.est is None or sv._reanchor_due():
+            judge = sv._regressed if at_regressed else sv._row
+            out.confidence[p], out.accepted[p], out.reconstructed[p], out.flagbits[p] = judge(
+                float(t[p]), float(v[p]), 0
+            )
+            r += at_regressed
             p += 1
-            continue
-        while bi < len(breaks) and breaks[bi] < p:
-            bi += 1
-        limit = int(breaks[bi]) + 1 if bi < len(breaks) else m
-        e = min(m, p + chunk, limit)
-        # no vectorizing across a zero-dt sample's special flag handling
-        # is needed; roc is simply 0 there, which the formula below covers
-        seg_v = vv[p:e]
-        seg_t = tv[p:e]
-        k = seg_v.size
-
-        prev_vals = np.concatenate(([state.prev_accepted], seg_v[:-1]))
-        prev_ts = np.concatenate(([state.prev_t], seg_t[:-1]))
-        dts = seg_t - prev_ts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roc = np.where(dts == 0.0, 0.0, np.abs(seg_v - prev_vals) / dts)
-
-        var, counts = _rolling_welford(seg_v, np.asarray(state.tail), w)
-        std = np.sqrt(np.where(counts >= 2, var, 0.0))
-
-        res = infer_batch(system, np.column_stack([seg_v, roc, std]))
-        conf = np.clip((res.values[:, 0] - conf_lo) / conf_span, 0.0, 1.0)
-        conf[res.no_rule_fired] = 0.0
-
-        acceptable = conf >= config.accept_threshold
-        stop = int(np.argmin(acceptable)) if not acceptable.all() else k
-        if stop > 0:
-            # commit the accepted stretch [p, p+stop)
-            rows = valid_idx[p : p + stop]
-            out_conf[rows] = conf[:stop]
-            out_acc[rows] = seg_v[:stop]
-            bits = det_bits[p : p + stop].copy()
-            bits[res.out_of_range[:stop]] |= FLAG_BITS["out_of_range"]
-            bits[zero_dt[p : p + stop]] |= FLAG_BITS["zero_interval"]
-            out_bits[rows] = bits
-            # est follows the EWMA recurrence over the accepted values,
-            # term for term as scalar_step computes it
-            accepted_vals = seg_v[:stop].tolist()
-            est = state.est
-            for x in accepted_vals:
-                est = alpha * x + (1 - alpha) * est
-            state.est = est
-            state.tail.extend(accepted_vals)
-            if len(state.tail) > w - 1:
-                del state.tail[: len(state.tail) - (w - 1)]
-            state.prev_t = float(seg_t[stop - 1])
-            state.prev_accepted = float(seg_v[stop - 1])
-            state.seen += stop
-            state.rejections = 0
-            # every accepted sample breaks any open episode
-            report = state.tracker.close()
-            if report:
-                reports.append(report)
-        if stop < k:
-            scalar_step(p + stop)
-            p += stop + 1
-            chunk = 64
         else:
-            p += k
-            chunk = min(max_chunk, chunk * 4)
-    emit_regressions_before(m)
-
-    report = state.tracker.close()
-    if report:
-        reports.append(report)
-    return BatchResult(t, v, out_conf, out_acc, out_rec, out_bits, reports, sensor_id)
-
+            e = min(p + block, regressed[r])
+            p_next = sv._block(out, p, e)
+            block = 64 if p_next < e else min(65536, block * 4)
+            p = p_next
+    out.reports = sv.finalize()
+    return out

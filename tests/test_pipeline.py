@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sensorval.detectors import pca_fit
+from sensorval.detectors import _welford, pca_fit
 from sensorval.features import Sample
 from sensorval.fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
 from sensorval.pipeline import (
@@ -16,6 +16,7 @@ from sensorval.pipeline import (
     PipelineConfig,
     SensorValidator,
     Validator,
+    _rolling_welford,
     run_batch,
 )
 from sensorval.simulate import FaultSpec, SignalProfile, generate, inject, inject_all
@@ -343,11 +344,42 @@ def test_run_batch_matches_scalar_across_inference_tiles():
     _assert_batch_matches_scalar(faulty.samples, PipelineConfig())
 
 
+def test_run_batch_matches_scalar_after_an_inf_reading():
+    # an inf reading sits in the validated window of the next 19 rows; the
+    # two drivers must judge those rows from the same window statistics
+    values = 200.0 + np.random.default_rng(0).normal(0.0, 1.0, 5000)
+    values[2000] = math.inf
+    samples = [Sample(float(i), float(x), "s1") for i, x in enumerate(values)]
+    _assert_batch_matches_scalar(samples, PipelineConfig())
+
+
 def test_run_batch_matches_scalar_with_time_anomalies():
     samples = list(_stream(n=60, seed=205))
     samples[20] = dataclasses.replace(samples[20], timestamp=samples[18].timestamp)
     samples[40] = dataclasses.replace(samples[40], timestamp=samples[39].timestamp)
     _assert_batch_matches_scalar(samples, PipelineConfig())
+
+
+@pytest.mark.parametrize("k", [1, 2, 19, 20, 60])
+@pytest.mark.parametrize("with_inf", [False, True])
+def test_rolling_welford_equals_welford_per_window(k, with_inf):
+    width = 20
+    rng = np.random.default_rng(k)
+    for t in range(width):
+        tail = 200.0 + rng.normal(0.0, 1.0, t)
+        values = 200.0 + rng.normal(0.0, 1.0, k)
+        if with_inf:
+            values[k // 2] = math.inf
+        var, counts = _rolling_welford(values, tail, width)
+        full = np.concatenate([tail, values]).tolist()
+        want_var, want_counts = [], []
+        for i in range(k):
+            window = full[max(0, t + i + 1 - width) : t + i + 1]
+            n, _, m2 = _welford(window)
+            want_var.append(max(m2, 0.0) / (n - 1) if n >= 2 else math.nan)
+            want_counts.append(n)
+        assert np.array_equal(var, want_var, equal_nan=True), (t, k)
+        assert counts.tolist() == want_counts
 
 
 def test_run_batch_empty_stream():
