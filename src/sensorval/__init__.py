@@ -9,7 +9,6 @@ format drops in.
 
 from .detectors import (
     DegenerateDataError,
-    DetectorVerdict,
     DimensionMismatchError,
     InsufficientDataError,
     PcaModel,
@@ -20,12 +19,9 @@ from .detectors import (
     save_pca_model,
     spe,
     spe_batch,
-    spe_check,
     uncertainty_index,
-    window_variance,
 )
 from .defaults import default_system
-from .features import CrispInputs, Sample, ZeroIntervalError, extract, rate_of_change
 from .fisfile import (
     Diagnostic,
     ParseResult,
@@ -36,16 +32,12 @@ from .fisfile import (
     validate_fis,
 )
 from .fuzzy import (
-    AggregatedOutput,
     FuzzySystem,
     InferenceResult,
     LinguisticVariable,
     MembershipFunction,
     Rule,
-    ZeroAreaError,
     control_surface,
-    defuzzify_centroid,
-    firing_strength,
     infer,
     infer_batch,
 )
@@ -56,6 +48,7 @@ from .pipeline import (
     FaultReport,
     FaultTracker,
     PipelineConfig,
+    Sample,
     SensorValidator,
     ValidationOutcome,
     Validator,
@@ -76,12 +69,9 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedOutput",
     "BatchResult",
     "ConfigError",
-    "CrispInputs",
     "DegenerateDataError",
-    "DetectorVerdict",
     "Diagnostic",
     "DimensionMismatchError",
     "FAULT_KINDS",
@@ -106,13 +96,8 @@ __all__ = [
     "ValidationOutcome",
     "Validator",
     "Window",
-    "ZeroAreaError",
-    "ZeroIntervalError",
     "control_surface",
     "default_system",
-    "defuzzify_centroid",
-    "extract",
-    "firing_strength",
     "fit_from_csv",
     "flags_from_bits",
     "generate",
@@ -124,15 +109,12 @@ __all__ = [
     "load_pca_model",
     "parse_fis",
     "pca_fit",
-    "rate_of_change",
     "run_batch",
     "save_fis",
     "save_pca_model",
     "serialize_fis",
     "spe",
     "spe_batch",
-    "spe_check",
     "uncertainty_index",
     "validate_fis",
-    "window_variance",
 ]

@@ -19,10 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import io as svio
-from .features import Sample
 from .fisfile import ERROR, load_fis, parse_fis, serialize_fis
 from .fuzzy import control_surface
-from .pipeline import ConfigError, PipelineConfig, Validator, run_batch
+from .pipeline import ConfigError, PipelineConfig, Sample, Validator, run_batch
 from .simulate import FAULT_KINDS, PROFILE_KINDS, FaultSpec, SignalProfile, generate, inject_all
 
 __all__ = ["main"]

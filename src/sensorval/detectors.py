@@ -8,9 +8,8 @@ Three detectors operate on a sliding window of recent readings:
   * SPE: squared prediction error of a multi-sensor snapshot against a
     PCA subspace fitted on clean calibration data
 
-All statistics update in O(1) per sample via the Welford recurrence,
-with a periodic full recompute so that removal updates cannot accumulate
-drift over long streams.
+Window statistics are a fresh Welford pass over the window's contents,
+so a non-finite reading affects them only while it is in the window.
 """
 
 from __future__ import annotations
@@ -48,24 +47,25 @@ def _welford(values) -> tuple[int, float, float]:
     return n, mean, m2
 
 
-class Window:
-    """Fixed-capacity FIFO of readings with streaming mean and variance.
+def _window_var(values) -> tuple[float, int]:
+    """Unbiased variance of a window and its length; NaN below 2 values."""
+    n, _, m2 = _welford(values)
+    return (max(m2, 0.0) / (n - 1) if n >= 2 else math.nan), n
 
-    Pushing beyond capacity evicts the oldest value. Mean and M2 are
-    maintained incrementally (add and remove updates); after every
-    ``capacity`` evictions the state is recomputed exactly from the
-    buffer contents, keeping round-off bounded regardless of stream
-    length.
+
+class Window:
+    """Fixed-capacity FIFO of readings with mean and variance.
+
+    Pushing beyond capacity evicts the oldest value. The statistics are
+    a fresh Welford pass over the contents, the same pass the pipeline
+    takes over its windows.
     """
 
     def __init__(self, capacity: int):
         if capacity < 2:
             raise ValueError(f"window capacity must be at least 2, got {capacity}")
         self.capacity = capacity
-        self._buf: deque[float] = deque()
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._evictions = 0
+        self._buf: deque[float] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -74,67 +74,30 @@ class Window:
         """Window contents, oldest first."""
         return list(self._buf)
 
-    def _add(self, x: float) -> None:
-        n = len(self._buf)  # buffer already contains x; see push
-        delta = x - self._mean
-        self._mean += delta / n
-        self._m2 += delta * (x - self._mean)
-
-    def _remove(self, x: float) -> None:
-        n = len(self._buf)  # count after removal
-        if n == 0:
-            self._mean = 0.0
-            self._m2 = 0.0
-            return
-        old_mean = self._mean
-        self._mean = ((n + 1) * old_mean - x) / n
-        self._m2 -= (x - old_mean) * (x - self._mean)
-
-    def _refresh(self) -> None:
-        _, self._mean, self._m2 = _welford(self._buf)
-        self._evictions = 0
-
     def push(self, x: float) -> None:
         """Append a reading, evicting the oldest when full."""
-        x = float(x)
-        if len(self._buf) == self.capacity:
-            oldest = self._buf.popleft()
-            self._remove(oldest)
-            self._evictions += 1
-        self._buf.append(x)
-        self._add(x)
-        if self._evictions >= self.capacity:
-            self._refresh()
+        self._buf.append(float(x))
 
     def replace_last(self, x: float) -> None:
         """Swap the most recent reading for a corrected value."""
         if not self._buf:
             raise InsufficientDataError("cannot replace in an empty window")
-        last = self._buf.pop()
-        self._remove(last)
-        self._buf.append(float(x))
-        self._add(float(x))
+        self._buf[-1] = float(x)
 
     def mean(self) -> float:
         if not self._buf:
             raise InsufficientDataError("mean needs at least 1 sample")
-        return self._mean
+        return _welford(self._buf)[1]
 
     def variance(self) -> float:
         """Unbiased sample variance of the window contents."""
-        n = len(self._buf)
+        var, n = _window_var(self._buf)
         if n < 2:
             raise InsufficientDataError(f"variance needs at least 2 samples, have {n}")
-        # removal updates can leave a tiny negative residue near zero
-        return max(self._m2, 0.0) / (n - 1)
+        return var
 
     def std(self) -> float:
         return math.sqrt(self.variance())
-
-
-def window_variance(window: Window) -> float:
-    """Unbiased sample variance of a window (streaming, O(1) per push)."""
-    return window.variance()
 
 
 def uncertainty_index(window: Window) -> float:
@@ -143,19 +106,6 @@ def uncertainty_index(window: Window) -> float:
     if n < 2:
         raise InsufficientDataError(f"uncertainty needs at least 2 samples, have {n}")
     return math.sqrt(window.variance() / n)
-
-
-@dataclass(frozen=True)
-class DetectorVerdict:
-    """Outcome of one detector check."""
-
-    detector: str
-    statistic: float
-    threshold: float
-
-    @property
-    def tripped(self) -> bool:
-        return self.statistic > self.threshold
 
 
 @dataclass(frozen=True)
@@ -240,11 +190,6 @@ def spe_batch(model: PcaModel, X: np.ndarray) -> np.ndarray:
     R = X - model.mean
     resid = R - (R @ model.components.T) @ model.components
     return np.einsum("ij,ij->i", resid, resid)
-
-
-def spe_check(model: PcaModel, x: np.ndarray) -> DetectorVerdict:
-    """Judge one snapshot against the fitted threshold."""
-    return DetectorVerdict("spe", spe(model, x), model.spe_threshold)
 
 
 def save_pca_model(model: PcaModel, path) -> None:

@@ -16,8 +16,7 @@ in a gaussian one.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,10 +29,6 @@ AGGREGATION_METHODS = ("max", "sum")
 DEFUZZIFICATION_METHODS = ("centroid",)
 
 DEFAULT_RESOLUTION = 101
-
-
-class ZeroAreaError(ValueError):
-    """Centroid of an all-zero aggregated membership is undefined."""
 
 
 @dataclass(frozen=True)
@@ -132,10 +127,6 @@ class LinguisticVariable:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    @property
-    def term_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.terms)
-
     def grid(self, resolution: int) -> np.ndarray:
         """Uniform sample grid over [lo, hi] including both endpoints."""
         return np.linspace(self.lo, self.hi, resolution)
@@ -174,39 +165,6 @@ class Rule:
         object.__setattr__(self, "consequent", tuple(int(c) for c in self.consequent))
 
 
-def firing_strength(
-    rule: Rule,
-    fuzzified: Sequence[np.ndarray],
-    and_method: str = "min",
-    or_method: str = "max",
-) -> float:
-    """Degree to which the rule's antecedent holds.
-
-    ``fuzzified`` holds one degree array per input (as from
-    ``LinguisticVariable.fuzzify``). Don't-care entries are excluded,
-    negated entries contribute 1 - degree, and the combined degree is
-    scaled by the rule weight.
-    """
-    degrees = []
-    for entry, termdegs in zip(rule.antecedent, fuzzified):
-        if entry == 0:
-            continue
-        d = float(termdegs[abs(entry) - 1])
-        degrees.append(1.0 - d if entry < 0 else d)
-    if not degrees:
-        raise ValueError("rule has no non-don't-care antecedent entries")
-    if rule.connective == "and":
-        combined = min(degrees) if and_method == "min" else math.prod(degrees)
-    else:
-        if or_method == "max":
-            combined = max(degrees)
-        else:  # probor
-            combined = 0.0
-            for d in degrees:
-                combined = combined + d - combined * d
-    return combined * rule.weight
-
-
 @dataclass(frozen=True)
 class FuzzySystem:
     """A complete Mamdani system: variables, rulebase, and operators."""
@@ -231,21 +189,6 @@ class FuzzySystem:
     def _compiled(self) -> "_Compiled":
         """Inference tables, built on first use and kept with the system."""
         return _Compiled(self)
-
-    def infer(self, values: Sequence[float]) -> "InferenceResult":
-        return infer(self, values)
-
-    def infer_batch(self, points: np.ndarray) -> "BatchInference":
-        return infer_batch(self, points)
-
-
-@dataclass(frozen=True)
-class AggregatedOutput:
-    """Aggregated output membership sampled on a uniform grid over [lo, hi]."""
-
-    lo: float
-    hi: float
-    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -478,16 +421,6 @@ def infer(system: FuzzySystem, values: Sequence[float]) -> InferenceResult:
         no_rule_fired=bool(res.no_rule_fired[0]),
         out_of_range=bool(res.out_of_range[0]),
     )
-
-
-def defuzzify_centroid(agg: AggregatedOutput) -> float:
-    """Center of gravity of the sampled membership over its uniform grid."""
-    samples = np.asarray(agg.samples, dtype=float)
-    total = samples.sum()
-    if total <= 0.0:
-        raise ZeroAreaError("aggregated membership is identically zero")
-    grid = np.linspace(agg.lo, agg.hi, samples.size)
-    return float((samples @ grid) / total)
 
 
 def control_surface(

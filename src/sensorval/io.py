@@ -13,8 +13,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .features import Sample
-from .pipeline import FaultReport, ValidationOutcome
+from .pipeline import FaultReport, Sample, ValidationOutcome
 
 __all__ = [
     "ParseError",
@@ -96,11 +95,6 @@ def read_stream(text: str) -> tuple[np.ndarray, list[str], np.ndarray]:
     else:
         ts, sids, vals = _parse_csv(lines)
     return np.array(ts, dtype=float), sids, np.array(vals, dtype=float)
-
-
-def read_samples(text: str) -> list[Sample]:
-    ts, sids, vals = read_stream(text)
-    return [Sample(float(t), float(v), s) for t, s, v in zip(ts, sids, vals)]
 
 
 def write_stream(f: IO[str], samples: Iterable[Sample]) -> None:

@@ -37,8 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .detectors import PcaModel, _welford, spe
-from .features import Sample
+from .detectors import PcaModel, _window_var, spe
 from .fuzzy import FuzzySystem, infer_batch
 
 # flag bit order is part of the output contract; new flags go at the end.
@@ -135,6 +134,15 @@ class PipelineConfig:
                 "(value, rate of change, window std), got "
                 f"{len(system.inputs)}"
             )
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One timestamped reading from one sensor."""
+
+    timestamp: float
+    value: float
+    sensor_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -269,12 +277,6 @@ class FaultTracker:
 def _confidence_scale(system: FuzzySystem) -> tuple[float, float]:
     out = system.outputs[0]
     return out.lo, out.hi - out.lo
-
-
-def _window_var(values: list[float]) -> tuple[float, int]:
-    """Fresh Welford variance of a window and its length; NaN below 2."""
-    n, _, m2 = _welford(values)
-    return (max(m2, 0.0) / (n - 1) if n >= 2 else math.nan), n
 
 
 class SensorValidator:
@@ -569,21 +571,24 @@ def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> tuple[
     m2 = np.zeros(k)
     # the first windows are still filling: the one at i spans full[:t+i+1]
     head = min(k, max(0, width - 1 - t))
-    if head:
-        for off in range(t + head):
-            act = slice(max(0, off - t), head)
-            x = full[off]
-            delta = x - mean[act]
-            mean[act] += delta / (off + 1)
-            m2[act] += delta * (x - mean[act])
-    # every later window is full: each offset is a contiguous slice
-    full_mean, full_m2 = mean[head:], m2[head:]
-    lo = t + head - width + 1
-    for off in range(width):
-        x = full[lo + off : lo + off + k - head]
-        delta = x - full_mean
-        full_mean += delta / (off + 1)
-        full_m2 += delta * (x - full_mean)
+    # an inf reading turns its windows' statistics to NaN, silently, as
+    # _welford does on Python floats
+    with np.errstate(invalid="ignore"):
+        if head:
+            for off in range(t + head):
+                act = slice(max(0, off - t), head)
+                x = full[off]
+                delta = x - mean[act]
+                mean[act] += delta / (off + 1)
+                m2[act] += delta * (x - mean[act])
+        # every later window is full: each offset is a contiguous slice
+        full_mean, full_m2 = mean[head:], m2[head:]
+        lo = t + head - width + 1
+        for off in range(width):
+            x = full[lo + off : lo + off + k - head]
+            delta = x - full_mean
+            full_mean += delta / (off + 1)
+            full_m2 += delta * (x - full_mean)
     var = np.full(k, np.nan)
     ok = counts >= 2
     var[ok] = np.maximum(m2[ok], 0.0) / (counts[ok] - 1)

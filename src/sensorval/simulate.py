@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import Sample
+from .pipeline import Sample
 
 PROFILE_KINDS = ("constant", "ramp", "sine", "fill_cycle")
 FAULT_KINDS = ("noise_burst", "spike", "stuck_at", "drift")

@@ -8,19 +8,16 @@ import numpy as np
 import pytest
 
 from sensorval import (
-    AggregatedOutput,
     FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
     Rule,
-    ZeroAreaError,
     control_surface,
     default_system,
-    defuzzify_centroid,
-    firing_strength,
     infer,
     infer_batch,
 )
+from sensorval.fuzzy import DEFAULT_RESOLUTION
 
 from oracles import (
     loop_infer_batch,
@@ -91,40 +88,51 @@ def test_fuzzify_matches_scalar_terms():
             assert got[k] == pytest.approx(mf_scalar(mf.kind, mf.params, x), abs=1e-12)
 
 
-def _degrees(*vals):
-    return [np.array(v) for v in vals]
+# membership x on [0, 1]: (x - 0) / (1 - 0) on the rising limb, 1 at x = 1
+_RAMP = MembershipFunction.triangular(0.0, 1.0, 1.0)
+# membership 1 over all of [0, 1]
+_FLAT = MembershipFunction.trapezoidal(0.0, 0.0, 1.0, 1.0)
+
+
+def _strength(rule, degrees, and_method="min", or_method="max"):
+    """The engine's firing strength of ``rule`` when input i's only term
+    has membership ``degrees[i]``."""
+    inputs = tuple(
+        LinguisticVariable(f"x{i}", 0.0, 1.0, (("up", _RAMP),)) for i in range(len(degrees))
+    )
+    out = LinguisticVariable("o", 0.0, 1.0, (("t", _RAMP),))
+    system = FuzzySystem(
+        "s", inputs, (out,), (rule,), and_method=and_method, or_method=or_method
+    )
+    comp = system._compiled
+    return float(comp.strengths(comp.degrees(np.array([degrees])))[0, 0])
 
 
 def test_firing_and_min():
     rule = Rule((1, 1, 1), (1,), 1.0, "and")
-    degs = _degrees([0.2], [0.7], [1.0])
-    assert firing_strength(rule, degs, "min", "max") == pytest.approx(0.2)
+    assert _strength(rule, [0.2, 0.7, 1.0]) == pytest.approx(0.2)
 
 
 def test_firing_or_max():
     rule = Rule((1, 1), (1,), 1.0, "or")
-    degs = _degrees([0.2], [0.7])
-    assert firing_strength(rule, degs, "min", "max") == pytest.approx(0.7)
+    assert _strength(rule, [0.2, 0.7]) == pytest.approx(0.7)
 
 
 def test_firing_weight_scales():
     rule = Rule((1, 1), (1,), 0.5, "and")
-    degs = _degrees([0.4], [0.6])
-    assert firing_strength(rule, degs, "min", "max") == pytest.approx(0.2)
+    assert _strength(rule, [0.4, 0.6]) == pytest.approx(0.2)
 
 
 def test_firing_ignores_dont_care_and_negates():
     rule = Rule((0, -1), (1,), 1.0, "and")
-    degs = _degrees([0.9], [0.3])
-    assert firing_strength(rule, degs, "min", "max") == pytest.approx(0.7)
+    assert _strength(rule, [0.9, 0.3]) == pytest.approx(0.7)
 
 
 def test_firing_prod_and_probor():
     rule_and = Rule((1, 1), (1,), 1.0, "and")
     rule_or = Rule((1, 1), (1,), 1.0, "or")
-    degs = _degrees([0.4], [0.5])
-    assert firing_strength(rule_and, degs, "prod", "probor") == pytest.approx(0.2)
-    assert firing_strength(rule_or, degs, "prod", "probor") == pytest.approx(0.7)
+    assert _strength(rule_and, [0.4, 0.5], "prod", "probor") == pytest.approx(0.2)
+    assert _strength(rule_or, [0.4, 0.5], "prod", "probor") == pytest.approx(0.7)
 
 
 def _single_rule_system(center: float) -> FuzzySystem:
@@ -239,40 +247,56 @@ def test_engine_firing_matches_oracle_rules():
     for _ in range(10):
         system = random_system(rng)
         x = [rng.uniform(v.lo, v.hi) for v in system.inputs]
-        degrees = [var.fuzzify(xv) for var, xv in zip(system.inputs, x)]
+        comp = system._compiled
+        got = comp.strengths(comp.degrees(np.array([x])))[:, 0]
         scalar_degs = [
             [mf_scalar(mf.kind, mf.params, xv) for (_, mf) in var.terms]
             for var, xv in zip(system.inputs, x)
         ]
-        for rule in system.rules:
+        # the table holds AND rules first, then OR rules, each in rulebase order
+        table = sorted(system.rules, key=lambda rule: rule.connective == "or")
+        for rule, strength in zip(table, got):
             want = rule_strength(rule, scalar_degs, system.and_method, system.or_method)
-            got = firing_strength(rule, degrees, system.and_method, system.or_method)
-            assert float(got) == pytest.approx(want, abs=1e-12)
+            assert float(strength) == pytest.approx(want, abs=1e-12)
+
+
+def _centroid(*terms, resolution=DEFAULT_RESOLUTION):
+    """Crisp output over [0, 1] when each (shape, weight) output term is
+    concluded by its own rule, firing at strength ``weight``."""
+    a = LinguisticVariable("a", 0.0, 1.0, (("all", _FLAT),))
+    out = LinguisticVariable("o", 0.0, 1.0, tuple((f"t{k}", mf) for k, (mf, _) in enumerate(terms)))
+    rules = tuple(Rule((1,), (k + 1,), w, "and") for k, (_, w) in enumerate(terms))
+    system = FuzzySystem("s", (a,), (out,), rules, resolution=resolution)
+    return infer_batch(system, np.array([[0.5]]))
 
 
 def test_defuzzify_constant_is_midpoint():
-    agg = AggregatedOutput(0.0, 1.0, np.ones(101))
-    assert defuzzify_centroid(agg) == pytest.approx(0.5)
+    res = _centroid((_FLAT, 1.0))
+    assert res.values[0, 0] == pytest.approx(0.5)
+    assert not res.no_rule_fired[0]
 
 
 def test_defuzzify_symmetric_triangle():
-    ys = np.linspace(0.0, 1.0, 1001)
-    agg = AggregatedOutput(0.0, 1.0, np.interp(ys, [0.1, 0.3, 0.5], [0, 1, 0]))
-    assert defuzzify_centroid(agg) == pytest.approx(0.3, abs=1e-6)
+    res = _centroid((MembershipFunction.triangular(0.1, 0.3, 0.5), 1.0), resolution=1001)
+    assert res.values[0, 0] == pytest.approx(0.3, abs=1e-6)
 
 
 def test_defuzzify_two_rects_analytic():
     # height 1 on [0, 0.2] plus height 0.5 on [0.8, 1.0]:
     # centroid = (0.2*0.1 + 0.1*0.9) / 0.3 = 0.11/0.3
-    ys = np.linspace(0.0, 1.0, 100001)
-    mu = np.where(ys <= 0.2, 1.0, np.where(ys >= 0.8, 0.5, 0.0))
-    agg = AggregatedOutput(0.0, 1.0, mu)
-    assert defuzzify_centroid(agg) == pytest.approx(0.11 / 0.3, abs=1e-4)
+    res = _centroid(
+        (MembershipFunction.trapezoidal(0.0, 0.0, 0.2, 0.2), 1.0),
+        (MembershipFunction.trapezoidal(0.8, 0.8, 1.0, 1.0), 0.5),
+        resolution=100001,
+    )
+    assert res.values[0, 0] == pytest.approx(0.11 / 0.3, abs=1e-4)
 
 
-def test_defuzzify_zero_area_raises():
-    with pytest.raises(ZeroAreaError):
-        defuzzify_centroid(AggregatedOutput(0.0, 1.0, np.zeros(11)))
+def test_defuzzify_zero_area_falls_back_to_midpoint():
+    # the rule fires fully, but its term lies outside the output range
+    res = _centroid((MembershipFunction.triangular(2.0, 3.0, 4.0), 1.0))
+    assert res.no_rule_fired[0]
+    assert res.values[0, 0] == 0.5
 
 
 def test_surface_shape_and_pointwise_equality():

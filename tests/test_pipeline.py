@@ -2,18 +2,19 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sensorval.detectors import _welford, pca_fit
-from sensorval.features import Sample
 from sensorval.fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
 from sensorval.pipeline import (
     FLAG_BITS,
     ConfigError,
     FaultTracker,
     PipelineConfig,
+    Sample,
     SensorValidator,
     Validator,
     _rolling_welford,
@@ -351,6 +352,15 @@ def test_run_batch_matches_scalar_after_an_inf_reading():
     values[2000] = math.inf
     samples = [Sample(float(i), float(x), "s1") for i, x in enumerate(values)]
     _assert_batch_matches_scalar(samples, PipelineConfig())
+
+
+def test_run_batch_is_silent_on_an_inf_reading():
+    # the inf's windows get NaN statistics without a numpy RuntimeWarning
+    values = 200.0 + np.random.default_rng(0).normal(0.0, 1.0, 5000)
+    values[2000] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_batch(PipelineConfig(), np.arange(5000.0), values)
 
 
 def test_run_batch_matches_scalar_with_time_anomalies():
