@@ -21,7 +21,7 @@ import numpy as np
 from . import io as svio
 from .fisfile import ERROR, load_fis, parse_fis, serialize_fis
 from .fuzzy import control_surface
-from .pipeline import ConfigError, PipelineConfig, Sample, Validator, run_batch
+from .pipeline import BatchResult, ConfigError, PipelineConfig, run_batch, spe_flagbits
 from .simulate import FAULT_KINDS, PROFILE_KINDS, FaultSpec, SignalProfile, generate, inject_all
 
 __all__ = ["main"]
@@ -121,6 +121,15 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _in_arrival_order(results: dict[str, BatchResult], sensor_ids: list[str]):
+    """Each reading's outcome from its sensor's result, in arrival order."""
+    seen = dict.fromkeys(results, 0)
+    for sid in sensor_ids:
+        i = seen[sid]
+        seen[sid] = i + 1
+        yield results[sid].outcome(i)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = _build_config(args)
@@ -136,23 +145,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # each sensor's readings, in order of first appearance, go through
+    # run_batch; the outcomes go back into arrival order
     n = len(values)
-    single = cfg.spe_model is None and (n == 0 or all(s == sensor_ids[0] for s in sensor_ids))
-    if single:
-        sid = sensor_ids[0] if n else ""
-        result = run_batch(cfg, timestamps, values, sid)
-        reports = result.reports
-        reconstructed = int(result.reconstructed.sum())
-        outcome_iter = (result.outcome(i) for i in range(n))
-    else:
-        validator = Validator(cfg)
-        outcomes = [
-            validator.step(Sample(float(t), float(v), s))
-            for t, s, v in zip(timestamps, sensor_ids, values)
-        ]
-        reports = validator.finalize()
-        reconstructed = sum(o.reconstructed for o in outcomes)
-        outcome_iter = iter(outcomes)
+    sensors = dict.fromkeys(sensor_ids)
+    code = {s: j for j, s in enumerate(sensors)}
+    codes = np.fromiter(map(code.__getitem__, sensor_ids), dtype=np.intp, count=n)
+    rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+    spe_bits = spe_flagbits(cfg, sensor_ids, values)
+    results = {
+        sid: run_batch(cfg, timestamps[idx], values[idx], sid, spe_bits[idx])
+        for sid, idx in zip(sensors, rows)
+    }
+    reports = [r for result in results.values() for r in result.reports]
+    reconstructed = sum(int(result.reconstructed.sum()) for result in results.values())
+    outcome_iter = _in_arrival_order(results, sensor_ids)
 
     if args.output:
         out = _open_out(args.output)

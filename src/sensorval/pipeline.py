@@ -13,10 +13,16 @@ state and is the only home of each rule that changes it: the regressed
 reading, the reanchor, accepting and rejecting. Two drivers feed it:
 
   * ``SensorValidator.step`` judges one reading on Python floats
-  * ``run_batch`` judges a recorded stream in numpy blocks: features and
-    inference for every row as if all were accepted, then it commits the
-    accepted prefix and the first rejected row, whose features are exact,
-    and starts the next block after it
+  * ``run_batch`` judges one sensor's recorded readings in numpy blocks:
+    features and inference for every row as if all were accepted, then
+    it commits the accepted prefix and the first rejected row, whose
+    features are exact, and starts the next block after it
+
+``Validator`` is the live multi-sensor API: it routes each reading to its
+sensor's ``step`` and sets ``spe_trip`` from PCA/SPE fusion. A recorded
+multi-sensor stream is judged per sensor by ``run_batch``, which takes
+the ``spe_trip`` bits that ``spe_flagbits`` computes with the same check
+as ``extra_flagbits``; ``sensorval validate`` does this for every stream.
 
 Both drivers compute window statistics with a fresh Welford pass in the
 same order, so their features agree bit for bit. One difference remains:
@@ -115,6 +121,10 @@ class PipelineConfig:
             raise ConfigError(f"reanchor_after must be non-negative, got {self.reanchor_after}")
         if self.variance_threshold < 0 or self.uncertainty_threshold < 0:
             raise ConfigError("detector thresholds must be non-negative")
+        if self.spe_fusion and self.spe_model is None:
+            raise ConfigError("spe_fusion needs an spe_model to check the fused sensors against")
+        if len(set(self.spe_fusion)) != len(self.spe_fusion):
+            raise ConfigError(f"spe_fusion names a sensor more than once: {self.spe_fusion}")
         if self.spe_model is not None and len(self.spe_fusion) < 2:
             raise ConfigError("spe_model needs spe_fusion naming at least 2 sensors")
         if self.spe_model is not None and len(self.spe_fusion) != self.spe_model.dim:
@@ -430,7 +440,9 @@ class SensorValidator:
 
         Features and inference assume every row is accepted. The accepted
         prefix is committed in bulk, then the first rejected row, whose
-        features are exact because only accepted rows precede it. Returns
+        features are exact because only accepted rows precede it. The bits
+        already in ``out.flagbits`` are the caller's extra bits, as ``step``
+        takes them, and are kept. Returns
         the index of the first row left unjudged. Needs an estimate and a
         previous reading, past warm-up and with no reanchor due.
         """
@@ -453,6 +465,7 @@ class SensorValidator:
             res.no_rule_fired * FLAG_BITS["no_rule_fired"]
             | res.out_of_range * FLAG_BITS["out_of_range"]
             | (dts == 0.0) * FLAG_BITS["zero_interval"]
+            | out.flagbits[p:e]
         )
         if cfg.variance_enabled:
             bits |= (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
@@ -499,12 +512,13 @@ class Validator:
             self.sensors[sensor_id] = SensorValidator(self.config, sensor_id)
         return self.sensors[sensor_id]
 
-    def _spe_bits(self, sample: Sample) -> int:
+    def _spe_bits(self, sensor_id: str, value: float) -> int:
+        """Check the latest raw value of every fused sensor after this reading."""
         model = self.config.spe_model
         fusion = self.config.spe_fusion
-        if model is None or sample.sensor_id not in fusion:
+        if model is None or sensor_id not in fusion:
             return 0
-        self._latest[sample.sensor_id] = sample.value
+        self._latest[sensor_id] = value
         if not all(s in self._latest for s in fusion):
             return 0
         snapshot = np.array([self._latest[s] for s in fusion])
@@ -513,7 +527,7 @@ class Validator:
         return 0
 
     def step(self, sample: Sample) -> ValidationOutcome:
-        bits = self._spe_bits(sample)
+        bits = self._spe_bits(sample.sensor_id, sample.value)
         return self._sensor(sample.sensor_id).step(sample, extra_flagbits=bits)
 
     def run(self, samples: Iterable[Sample]) -> list[ValidationOutcome]:
@@ -525,6 +539,20 @@ class Validator:
         for sensor_id in self.sensors:
             reports.extend(self.sensors[sensor_id].finalize())
         return reports
+
+
+def spe_flagbits(config: PipelineConfig, sensor_ids: list[str], values: np.ndarray) -> np.ndarray:
+    """The ``spe_trip`` bits ``Validator.step`` sets on a recorded stream.
+
+    One uint16 per reading, in arrival order, from the same check on the
+    latest raw value of every fused sensor; all zero without a model.
+    """
+    bits = np.zeros(len(sensor_ids), dtype=np.uint16)
+    if config.spe_model is not None:
+        check = Validator(config)._spe_bits
+        for i, (s, x) in enumerate(zip(sensor_ids, np.asarray(values, dtype=float).tolist())):
+            bits[i] = check(s, x)
+    return bits
 
 
 @dataclass
@@ -600,6 +628,7 @@ def run_batch(
     timestamps: np.ndarray,
     values: np.ndarray,
     sensor_id: str = "",
+    extra_flagbits: np.ndarray | None = None,
 ) -> BatchResult:
     """Validate one sensor's recorded stream, given as parallel arrays.
 
@@ -609,21 +638,23 @@ def run_batch(
     64 after a rejection and four times as many after a fully accepted
     block, up to 65536. Outcomes and reports are those of
     ``SensorValidator.step`` on the same readings with finite timestamps,
-    up to the centroid rounding described in the module docstring. PCA/SPE fusion is a
-    multi-sensor concern and is not applied here; use ``Validator.step``
-    when a model is configured.
+    up to the centroid rounding described in the module docstring.
+
+    ``extra_flagbits`` holds one reading's flag bits from outside the
+    sensor, as ``step`` takes them: they are set on the reading and count
+    towards a report's dominant flags. PCA/SPE fusion spans sensors, so an
+    SPE config needs its ``spe_trip`` bits from ``spe_flagbits``.
     """
     sv = SensorValidator(config, sensor_id)
-    if config.spe_model is not None:
-        raise ConfigError("run_batch does not support SPE fusion; use Validator.step")
+    if config.spe_model is not None and extra_flagbits is None:
+        raise ConfigError("an SPE config needs its spe_trip bits as extra_flagbits (see spe_flagbits)")
     t = np.asarray(timestamps, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.shape != v.shape or t.ndim != 1:
-        raise ValueError("timestamps and values must be equal-length 1-D arrays")
     n = t.size
-    out = BatchResult(
-        t, v, np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint16), [], sensor_id
-    )
+    bits = np.zeros(n, dtype=np.uint16) if extra_flagbits is None else np.array(extra_flagbits, dtype=np.uint16)
+    if t.shape != v.shape or t.shape != bits.shape or t.ndim != 1:
+        raise ValueError("timestamps, values and extra_flagbits must be equal-length 1-D arrays")
+    out = BatchResult(t, v, np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits, [], sensor_id)
 
     # a reading is regressed when its timestamp precedes the newest one
     # so far; a block must not span one, whose outcome depends on the
@@ -637,7 +668,7 @@ def run_batch(
         if at_regressed or sv.seen < config.warmup or sv.est is None or sv._reanchor_due():
             judge = sv._regressed if at_regressed else sv._row
             out.confidence[p], out.accepted[p], out.reconstructed[p], out.flagbits[p] = judge(
-                float(t[p]), float(v[p]), 0
+                float(t[p]), float(v[p]), int(bits[p])
             )
             r += at_regressed
             p += 1

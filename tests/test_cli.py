@@ -5,10 +5,13 @@ import shlex
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sensorval
-from sensorval.io import read_labels, read_outcomes, read_stream
+from sensorval.detectors import load_pca_model, pca_fit, save_pca_model
+from sensorval.io import read_labels, read_outcomes, read_stream, write_stream
+from sensorval.pipeline import PipelineConfig, Sample, Validator
 
 from cli_launcher import CLI, CLI_ENV
 
@@ -113,6 +116,95 @@ def test_validate_unknown_config_key_exits_two(tmp_path):
     proc = run_cli("validate", str(stream), "--config", str(cfg))
     assert proc.returncode == 2
     assert "acceptance_threshold" in proc.stderr
+
+
+def test_validate_spe_fusion_without_model_exits_two(tmp_path):
+    stream = tmp_path / "s.csv"
+    run_cli("simulate", "--n", "10", "-o", str(stream))
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text("spe_fusion = a,b\n")
+    proc = run_cli("validate", str(stream), "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "spe_fusion" in proc.stderr
+
+
+def _fleet_samples(rng, n=1200):
+    """Three sensors in irregular order: a and b read one level (b at 80%
+    gain) until b breaks away, c carries a noise burst; one c reading
+    repeats its predecessor's timestamp and one a reading goes back."""
+    arrivals = rng.choice(["a", "b", "c"], size=n, p=[0.3, 0.3, 0.4])
+    seen = {"a": 0, "b": 0, "c": 0}
+    last_t = {}
+    samples = []
+    for k, sid in enumerate(arrivals.tolist()):
+        i = seen[sid]
+        seen[sid] += 1
+        t = 0.5 * k
+        if sid == "a":
+            v = 100.0 + rng.normal(0.0, 0.5)
+            if i == 200:
+                t = last_t["a"] - 1.0
+        elif sid == "b":
+            v = 80.0 + rng.normal(0.0, 0.5) + (40.0 if 150 <= i < 200 else 0.0)
+        else:
+            v = 200.0 + rng.normal(0.0, 100.0 if 150 <= i < 210 else 1.0)
+            if i == 60:
+                t = last_t["c"]
+        last_t[sid] = t
+        samples.append(Sample(t, v, sid))
+    return samples
+
+
+def test_validate_multi_sensor_spe_stream_matches_validator_step(tmp_path):
+    rng = np.random.default_rng(17)
+    level = rng.normal(100.0, 10.0, 300)
+    calibration = np.column_stack(
+        [level + rng.normal(0.0, 0.5, 300), 0.8 * level + rng.normal(0.0, 0.5, 300)]
+    )
+    model_path = tmp_path / "pca.json"
+    save_pca_model(pca_fit(calibration, 1), model_path)
+    cfg_path = tmp_path / "fleet.cfg"
+    cfg_path.write_text(f"spe_model = {model_path}\nspe_fusion = a,b\n")
+    stream = tmp_path / "fleet.csv"
+    with open(stream, "w", newline="\n") as f:
+        write_stream(f, _fleet_samples(rng))
+
+    out, reports_path = tmp_path / "o.jsonl", tmp_path / "r.json"
+    proc = run_cli(
+        "validate", str(stream), "--config", str(cfg_path),
+        "-o", str(out), "--reports", str(reports_path),
+    )
+
+    t, sids, values = read_stream(stream.read_text())
+    validator = Validator(
+        PipelineConfig(spe_model=load_pca_model(model_path), spe_fusion=("a", "b"))
+    )
+    want = [
+        validator.step(Sample(float(x), float(v), s)).to_dict()
+        for x, s, v in zip(t, sids, values)
+    ]
+    want_reports = [r.to_dict() for r in validator.finalize()]
+    got = read_outcomes(out.read_text())
+    got_reports = json.loads(reports_path.read_text())
+
+    assert proc.returncode == 1, proc.stderr
+    reconstructed = sum(o["reconstructed"] for o in want)
+    assert f"{len(want)} samples, {reconstructed} reconstructed, {len(want_reports)} reports" in proc.stderr
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g["confidence"] == pytest.approx(w["confidence"], abs=1e-9)
+        del g["confidence"], w["confidence"]
+        assert g == w
+    assert any("spe_trip" in w["flags"] for w in want)
+    assert any("time_regression" in w["flags"] for w in want)
+    assert any("zero_interval" in w["flags"] for w in want)
+    assert "c" in [r["sensor_id"] for r in want_reports]
+    stats = ("min_confidence", "mean_confidence", "value_mean")
+    assert [list(r) for r in got_reports] == [list(r) for r in want_reports]
+    for g, w in zip(got_reports, want_reports):
+        for key in stats:
+            assert g.pop(key) == pytest.approx(w.pop(key), abs=1e-9)
+        assert g == w
 
 
 def test_validate_custom_fis(tmp_path):

@@ -31,9 +31,10 @@ def _stream(n=120, level=200.0, noise=1.0, seed=101, sensor="s1"):
     )
 
 
-def _run(samples, config=None, sensor="s1"):
+def _run(samples, config=None, sensor="s1", extra_flagbits=None):
     v = SensorValidator(config or PipelineConfig(), sensor)
-    outs = [v.step(s) for s in samples]
+    extra = [0] * len(samples) if extra_flagbits is None else extra_flagbits
+    outs = [v.step(s, int(b)) for s, b in zip(samples, extra)]
     return outs, v.finalize()
 
 
@@ -285,11 +286,11 @@ def test_tracker_matches_run_length_scanner():
 # batch path
 
 
-def _assert_batch_matches_scalar(samples, config):
+def _assert_batch_matches_scalar(samples, config, extra_flagbits=None):
     t = np.array([s.timestamp for s in samples])
     v = np.array([s.value for s in samples])
-    batch = run_batch(config, t, v, "s1")
-    scalar_outs, scalar_reports = _run(samples, config)
+    batch = run_batch(config, t, v, "s1", extra_flagbits)
+    scalar_outs, scalar_reports = _run(samples, config, extra_flagbits=extra_flagbits)
     assert len(batch.outcomes()) == len(scalar_outs)
     for got, want in zip(batch.outcomes(), scalar_outs):
         assert got.reconstructed == want.reconstructed
@@ -306,6 +307,7 @@ def _assert_batch_matches_scalar(samples, config):
         assert got.min_confidence == pytest.approx(want.min_confidence, abs=1e-9)
         assert got.mean_confidence == pytest.approx(want.mean_confidence, abs=1e-9)
         assert got.value_mean == pytest.approx(want.value_mean, abs=1e-9)
+    return batch
 
 
 def test_run_batch_matches_scalar_on_fault_shapes():
@@ -318,6 +320,14 @@ def test_run_batch_matches_scalar_on_fault_shapes():
         stream = _stream(n=400, seed=seed)
         faulty = inject(stream, fault, seed=seed)
         _assert_batch_matches_scalar(faulty.samples, PipelineConfig())
+    # bits from outside the sensor, as SPE fusion gives them, reach the
+    # burst's rows in both drivers and are among its report's dominant flags
+    burst = inject(_stream(n=400, seed=202), FaultSpec("noise_burst", 150, 60, 100.0), seed=202)
+    spe_bits = np.zeros(400, dtype=np.uint16)
+    spe_bits[150:210] = FLAG_BITS["spe_trip"]
+    batch = _assert_batch_matches_scalar(burst.samples, PipelineConfig(), spe_bits)
+    assert batch.reports
+    assert all("spe_trip" in r.dominant_flags for r in batch.reports)
 
 
 def test_run_batch_matches_scalar_across_inference_tiles():
@@ -409,6 +419,9 @@ def test_run_batch_rejects_spe_configs():
 
 # configuration validation
 
+_RNG = np.random.default_rng(2)
+_MODEL_2D = pca_fit(np.outer(_RNG.normal(0, 5, 30), [1.0, 0.8]) + _RNG.normal(0, 1, (30, 2)), 1)
+
 
 @pytest.mark.parametrize(
     "kwargs",
@@ -423,6 +436,8 @@ def test_run_batch_rejects_spe_configs():
         {"window": 1},
         {"reanchor_after": -5},
         {"variance_threshold": -1.0},
+        {"spe_fusion": ("a", "b")},
+        {"spe_fusion": ("a", "a"), "spe_model": _MODEL_2D},
     ],
 )
 def test_config_rejects_bad_settings(kwargs):
