@@ -121,13 +121,23 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _in_arrival_order(results: dict[str, BatchResult], sensor_ids: list[str]):
-    """Each reading's outcome from its sensor's result, in arrival order."""
-    seen = dict.fromkeys(results, 0)
-    for sid in sensor_ids:
-        i = seen[sid]
-        seen[sid] = i + 1
-        yield results[sid].outcome(i)
+def _in_arrival_order(
+    results: dict[str, BatchResult], rows: list[np.ndarray], timestamps: np.ndarray, values: np.ndarray
+) -> BatchResult:
+    """The sensors' outcome columns scattered back into arrival order;
+    ``rows`` holds each sensor's arrival indices, in the order of
+    ``results``. Reports stay with the sensors' results."""
+    n = len(values)
+    merged = BatchResult(
+        timestamps, values, np.empty(n), np.empty(n), np.empty(n, dtype=bool),
+        np.empty(n, dtype=np.uint16), [],
+    )
+    for idx, res in zip(rows, results.values()):
+        merged.confidence[idx] = res.confidence
+        merged.accepted[idx] = res.accepted
+        merged.reconstructed[idx] = res.reconstructed
+        merged.flagbits[idx] = res.flagbits
+    return merged
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -159,12 +169,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     }
     reports = [r for result in results.values() for r in result.reports]
     reconstructed = sum(int(result.reconstructed.sum()) for result in results.values())
-    outcome_iter = _in_arrival_order(results, sensor_ids)
 
     if args.output:
+        merged = _in_arrival_order(results, rows, timestamps, values)
         out = _open_out(args.output)
         try:
-            svio.write_outcomes(out, outcome_iter)
+            svio.write_outcomes(out, merged, sensor_ids)
         finally:
             if out is not sys.stdout:
                 out.close()

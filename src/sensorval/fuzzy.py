@@ -269,16 +269,22 @@ class _Compiled:
         ).reshape(len(rules), len(system.inputs))
         self.n_and = sum(rule.connective != "or" for rule in rules)
         self.weights = np.array([rule.weight for rule in rules]).reshape(-1, 1)
+        self.weighted = bool(np.any(self.weights != 1.0))
         self.and_op = np.minimum if system.and_method == "min" else np.multiply
 
         res = system.resolution
-        self.grids = [v.grid(res) for v in system.outputs]
         # (terms, 1, res) membership of each output term on its grid
         self.term_grids = [
-            np.stack([_evaluate_mf(mf.kind, mf.params, g) for _, mf in v.terms])[:, None, :]
-            for v, g in zip(system.outputs, self.grids)
+            np.stack([_evaluate_mf(mf.kind, mf.params, v.grid(res)) for _, mf in v.terms])[:, None, :]
+            for v in system.outputs
         ]
+        # the centroid folds each grid about its midpoint c: grid point i
+        # sits at c + h * u_i, with u_i = (2i - (res - 1)) / (res - 1) and
+        # h the half-span, and u_(res-1-i) is exactly -u_i
+        self.resolution, self.half = res, res // 2
+        self.u = (2 * np.arange(self.half) - (res - 1)) / (res - 1)
         self.midpoints = np.array([(v.lo + v.hi) / 2.0 for v in system.outputs])
+        self.half_spans = np.array([(v.hi - v.lo) / 2.0 for v in system.outputs])
         cons = np.array([rule.consequent for rule in rules], dtype=np.intp)
         cons = cons.reshape(len(rules), len(system.outputs))
         self.cons_mask = [
@@ -319,12 +325,14 @@ class _Compiled:
             for i in range(1, picked.shape[1]):
                 d = picked[a:, i]
                 s[a:] += d - s[a:] * d
-        s *= self.weights
+        if self.weighted:
+            s *= self.weights
         return s
 
 
-# rows per inference block; each (rows, grid) temporary is about 3 MB at
-# the default 101-point output grid
+# rows per inference block; its per-term and per-rule arrays (the
+# degrees and the gathered antecedents) stay under 1 MB with the default
+# rulebase
 _BLOCK_ROWS = 4096
 # rows per implication tile; the (terms, rows, grid) temporary is about
 # 600 kB with the default three output terms, so it stays in a core's L2
@@ -351,15 +359,12 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     temporary holds every output term, in tiles of ``_TILE_ROWS``, so the
     temporaries stay in cache.
 
-    Every step is row-wise except the centroid's numerator, ``agg @
-    grid``, which goes through BLAS: the fast way to reduce a 4096-row
-    block. BLAS may round a row's result differently (by an ulp)
-    depending on where the row falls in the call and on the block size.
-    A row-wise sum would round differently again and can flip a decision:
-    an aggregate symmetric about 0.5 has a centroid of exactly 0.5 under
-    the product but 0.4999999999999999 under ``(agg * grid).sum(axis=1)``,
-    which falls below the default accept threshold. So the product and
-    the block size stay as they are.
+    Every step is row-wise, the centroid included, so a row's outputs do
+    not depend on the rows it is inferred with. Grid point i of an output
+    sits at c + h * u_i (see ``_Compiled``), so the centroid is
+    c + h * sum_i u_i agg_i / sum_i agg_i, with the numerator taken as
+    sum_(i < res/2) u_i (agg_i - agg_(res-1-i)): an aggregate symmetric
+    about the midpoint c gives exactly c.
     """
     comp = system._compiled
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -367,8 +372,9 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
         raise ValueError(
             f"expected {len(system.inputs)} inputs per point, got {pts.shape[1]}"
         )
-    clamped = np.clip(pts, comp.in_lo, comp.in_hi)
-    out_of_range = np.any(clamped != pts, axis=1)
+    # np.clip's result to the bit, sign of zero included, in fewer calls
+    clamped = np.minimum(comp.in_hi, np.maximum(comp.in_lo, pts))
+    out_of_range = (clamped != pts).any(axis=1)
 
     n = pts.shape[0]
     values = np.empty((n, len(system.outputs)))
@@ -383,34 +389,47 @@ def _infer_block(
     comp: _Compiled, clamped: np.ndarray, values: np.ndarray, no_rule: np.ndarray
 ) -> None:
     """Inference for one block of clamped rows, written into ``values``
-    and ``no_rule`` (views into the caller's result arrays)."""
+    and ``no_rule`` (views into the caller's result arrays).
+
+    Each tile's aggregate is folded into the centroid's numerator, and
+    summed into its area, while it is in cache. Both are sums along one
+    row, so a row's result does not depend on its neighbours.
+    """
     n = clamped.shape[0]
     strengths = comp.strengths(comp.degrees(clamped))
-    for o, grid in enumerate(comp.grids):
-        tgrids = comp.term_grids[o]
+    agg_buf = np.empty((min(n, _TILE_ROWS), comp.resolution))
+    fold_buf = np.empty((len(agg_buf), comp.half))
+    num, area = np.empty(n), np.empty(n)
+    for o, tgrids in enumerate(comp.term_grids):
         if comp.aggregation == "max":
             # max_r impl(s_r, g) == impl(max_r s_r, g) for min and prod, so
             # the rules collapse into one strength per term first
-            s = np.where(comp.cons_mask[o], strengths, 0.0).max(axis=1, initial=0.0)
-            s = s[:, :, None]
-            agg = np.empty((n, grid.size))
-            for r in range(0, n, _TILE_ROWS):
-                tile = s[:, r : r + _TILE_ROWS]
+            s = np.where(comp.cons_mask[o], strengths, 0.0).max(axis=1, initial=0.0)[:, :, None]
+        for r in range(0, n, _TILE_ROWS):
+            rows = slice(r, r + _TILE_ROWS)
+            agg, fold = agg_buf[: min(_TILE_ROWS, n - r)], fold_buf[: min(_TILE_ROWS, n - r)]
+            if comp.aggregation == "max":
+                tile = s[:, rows]
                 impl = tile * tgrids if comp.implication == "prod" else np.minimum(tile, tgrids)
-                impl.max(axis=0, out=agg[r : r + _TILE_ROWS])
-        else:  # sum in rulebase order, clipped at 1
-            agg = np.zeros((n, grid.size))
-            for r, t in comp.sum_pairs[o]:
-                if comp.implication == "min":
-                    agg += np.minimum(strengths[r][:, None], tgrids[t])
-                else:
-                    agg += strengths[r][:, None] * tgrids[t]
-            np.clip(agg, 0.0, 1.0, out=agg)
-        area = agg.sum(axis=1)
+                impl.max(axis=0, out=agg)
+            else:  # sum in rulebase order, clipped at 1
+                agg[:] = 0.0
+                for q, t in comp.sum_pairs[o]:
+                    if comp.implication == "min":
+                        agg += np.minimum(strengths[q, rows, None], tgrids[t])
+                    else:
+                        agg += strengths[q, rows, None] * tgrids[t]
+                np.clip(agg, 0.0, 1.0, out=agg)
+            # sum_i u_i (agg_i - agg_(res-1-i)) over the first half; one
+            # einsum pass is cheaper than an in-place product and a sum
+            np.subtract(agg[:, : comp.half], agg[:, ::-1][:, : comp.half], out=fold)
+            np.einsum("ij,j->i", fold, comp.u, out=num[rows])
+            agg.sum(axis=1, out=area[rows])
         dead = area == 0.0
         no_rule |= dead
-        safe = np.where(dead, 1.0, area)
-        values[:, o] = np.where(dead, comp.midpoints[o], (agg @ grid) / safe)
+        # a dead row's aggregate is all zero, so its numerator is 0 and its
+        # centroid the midpoint
+        values[:, o] = comp.midpoints[o] + comp.half_spans[o] * num / (area + dead)
 
 
 def infer(system: FuzzySystem, values: Sequence[float]) -> InferenceResult:

@@ -8,12 +8,13 @@ and blank lines, and report 1-based line numbers on anything else.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .pipeline import FaultReport, Sample, ValidationOutcome
+from .pipeline import BatchResult, FaultReport, Sample, ValidationOutcome, flags_from_bits
 
 __all__ = [
     "ParseError",
@@ -134,9 +135,48 @@ def read_labels(text: str) -> np.ndarray:
     return np.array(out, dtype=bool)
 
 
-def write_outcomes(f: IO[str], outcomes: Iterable[ValidationOutcome]) -> None:
-    for o in outcomes:
-        f.write(json.dumps(o.to_dict()) + "\n")
+# rows formatted per write; the whole file's lines would cost more memory
+# than the stream itself
+_CHUNK_ROWS = 1024
+
+
+def write_outcomes(f: IO[str], res: BatchResult, sensor_ids: Sequence[str] | None = None) -> None:
+    """Write each row of ``res`` as one JSON outcome line, in row order.
+
+    ``sensor_ids`` names each row's sensor (default: ``res.sensor_id``).
+    A line is ``json.dumps(outcome.to_dict())`` of the row's
+    ``ValidationOutcome``, byte for byte: floats are written with
+    ``repr``, as ``json.dumps`` writes them, the JSON of each sensor id and
+    flag-bit pattern is made once, and a row with a non-finite field goes
+    through ``json.dumps`` itself.
+    """
+    sid_json: dict[str, str] = {}
+    flags_json: dict[int, str] = {}
+    for a in range(0, len(res.raw), _CHUNK_ROWS):
+        rows = slice(a, a + _CHUNK_ROWS)
+        cols = res.timestamps[rows], res.raw[rows], res.confidence[rows], res.accepted[rows]
+        finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
+        sids = itertools.repeat(res.sensor_id) if sensor_ids is None else sensor_ids[rows]
+        lines = []
+        for ok, t, sid, raw, conf, acc, rec, bits in zip(
+            finite.tolist(), cols[0].tolist(), sids, cols[1].tolist(), cols[2].tolist(),
+            cols[3].tolist(), res.reconstructed[rows].tolist(), res.flagbits[rows].tolist(),
+        ):
+            if not ok:
+                o = ValidationOutcome(t, sid, raw, conf, acc, rec, flags_from_bits(bits))
+                lines.append(json.dumps(o.to_dict()) + "\n")
+                continue
+            s = sid_json.get(sid)
+            if s is None:
+                s = sid_json[sid] = json.dumps(sid)
+            fl = flags_json.get(bits)
+            if fl is None:
+                fl = flags_json[bits] = json.dumps(list(flags_from_bits(bits)))
+            lines.append(
+                f'{{"timestamp": {t!r}, "sensor_id": {s}, "raw": {raw!r}, "confidence": {conf!r}, '
+                f'"accepted": {acc!r}, "reconstructed": {"true" if rec else "false"}, "flags": {fl}}}\n'
+            )
+        f.write("".join(lines))
 
 
 def read_outcomes(text: str) -> list[dict]:

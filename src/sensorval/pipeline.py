@@ -15,8 +15,8 @@ reading, the reanchor, accepting and rejecting. Two drivers feed it:
   * ``SensorValidator.step`` judges one reading on Python floats
   * ``run_batch`` judges one sensor's recorded readings in numpy blocks:
     features and inference for every row as if all were accepted, then
-    it commits the accepted prefix and the first rejected row, whose
-    features are exact, and starts the next block after it
+    it commits rows in order; after a rejection it judges again the rows
+    whose features the rejection changed and goes on with the block
 
 ``Validator`` is the live multi-sensor API: it routes each reading to its
 sensor's ``step`` and sets ``spe_trip`` from PCA/SPE fusion. A recorded
@@ -25,18 +25,14 @@ the ``spe_trip`` bits that ``spe_flagbits`` computes with the same check
 as ``extra_flagbits``; ``sensorval validate`` does this for every stream.
 
 Both drivers compute window statistics with a fresh Welford pass in the
-same order, so their features agree bit for bit. One difference remains:
-``infer_batch`` takes the centroid as ``agg @ grid`` through BLAS, which
-rounds a row by its position in the call. A confidence can therefore
-differ by an ulp between a row inferred alone and the same row inside a
-block, and at an exact tie with ``accept_threshold`` that can flip the
-decision (an aggregate symmetric about 0.5 has a centroid of exactly
-0.5). Each driver on its own is fully deterministic for a given config
-and input stream.
+same order, and inference is row-wise, so they give the same outcomes
+and reports bit for bit. Each is deterministic for a given config and
+input stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -62,6 +58,7 @@ FLAG_NAMES = (
 FLAG_BITS = {name: 1 << i for i, name in enumerate(FLAG_NAMES)}
 
 
+@functools.lru_cache(maxsize=None)
 def flags_from_bits(bits: int) -> tuple[str, ...]:
     return tuple(name for name in FLAG_NAMES if bits & FLAG_BITS[name])
 
@@ -435,60 +432,71 @@ class SensorValidator:
             return conf, v, False, bits
         return (conf, *self._reject(t, v, conf, bits), bits)
 
+    def _judge(self, t: np.ndarray, v: np.ndarray, kept: np.ndarray, raw: bool = True) -> tuple:
+        """(conf, bits, kept) of in-order readings ``t, v`` from the current
+        state, each judged as if every reading before it is accepted.
+        ``kept`` holds bits to keep, the caller's; with ``raw`` they gain
+        those that the timestamps and raw windows set, which a rejection
+        does not change, so rows judged again pass them back without."""
+        cfg = self.config
+        dts = t - np.concatenate(([self.prev_t], t[:-1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roc = np.where(dts == 0.0, 0.0, np.abs(v - np.concatenate(([self.prev_accepted], v[:-1]))) / dts)
+        var, counts = _rolling_welford(v, np.asarray(self.tail), cfg.window)
+        std = np.sqrt(np.where(counts >= 2, var, 0.0))
+        if raw:
+            if self.raw_tail == self.tail:
+                raw_var, raw_counts = var, counts
+            else:
+                raw_var, raw_counts = _rolling_welford(v, np.asarray(self.raw_tail), cfg.window)
+            kept = kept | (dts == 0.0) * FLAG_BITS["zero_interval"]
+            if cfg.variance_enabled:
+                kept |= (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
+            if cfg.uncertainty_enabled:
+                unc = np.sqrt(raw_var / raw_counts)
+                kept |= (unc > cfg.uncertainty_threshold) * FLAG_BITS["uncertainty_trip"]
+
+        res = infer_batch(self.system, np.column_stack([v, roc, std]))
+        conf = np.clip((res.values[:, 0] - self._conf_lo) / self._conf_span, 0.0, 1.0)
+        conf[res.no_rule_fired] = 0.0
+        bits = kept | res.no_rule_fired * FLAG_BITS["no_rule_fired"]
+        bits |= res.out_of_range * FLAG_BITS["out_of_range"]
+        return conf, bits, kept
+
     def _block(self, out: BatchResult, p: int, e: int) -> int:
         """Judge in-order readings p..e-1 of ``out`` as one numpy block.
 
-        Features and inference assume every row is accepted. The accepted
-        prefix is committed in bulk, then the first rejected row, whose
-        features are exact because only accepted rows precede it. The bits
-        already in ``out.flagbits`` are the caller's extra bits, as ``step``
-        takes them, and are kept. Returns
-        the index of the first row left unjudged. Needs an estimate and a
-        previous reading, past warm-up and with no reanchor due.
+        ``_judge`` first takes every row as accepted. Accepted runs are
+        committed in bulk. A rejection changes the features of the next
+        ``window - 1`` rows only (a rate of change and the validated
+        windows), so they are judged again and the block goes on. The bits
+        already in ``out.flagbits`` are the caller's, as ``step`` takes
+        them, and are kept. Returns the first row left unjudged: ``e``, or
+        the row after a rejection that makes a reanchor due. Needs an
+        estimate and a previous reading, past warm-up, no reanchor due.
         """
-        cfg = self.config
-        seg_t, seg_v = out.timestamps[p:e], out.raw[p:e]
-        dts = np.diff(seg_t, prepend=self.prev_t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roc = np.where(dts == 0.0, 0.0, np.abs(np.diff(seg_v, prepend=self.prev_accepted)) / dts)
-        var, counts = _rolling_welford(seg_v, np.asarray(self.tail), cfg.window)
-        if self.raw_tail == self.tail:
-            raw_var, raw_counts = var, counts
-        else:
-            raw_var, raw_counts = _rolling_welford(seg_v, np.asarray(self.raw_tail), cfg.window)
-        std = np.sqrt(np.where(counts >= 2, var, 0.0))
-
-        res = infer_batch(self.system, np.column_stack([seg_v, roc, std]))
-        conf = np.clip((res.values[:, 0] - self._conf_lo) / self._conf_span, 0.0, 1.0)
-        conf[res.no_rule_fired] = 0.0
-        bits = (
-            res.no_rule_fired * FLAG_BITS["no_rule_fired"]
-            | res.out_of_range * FLAG_BITS["out_of_range"]
-            | (dts == 0.0) * FLAG_BITS["zero_interval"]
-            | out.flagbits[p:e]
-        )
-        if cfg.variance_enabled:
-            bits |= (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
-        if cfg.uncertainty_enabled:
-            unc = np.sqrt(raw_var / raw_counts)
-            bits |= (unc > cfg.uncertainty_threshold) * FLAG_BITS["uncertainty_trip"]
-
-        ok = conf >= cfg.accept_threshold
-        stop = len(ok) if ok.all() else int(np.argmin(ok))
-        if stop:
-            out.confidence[p : p + stop] = conf[:stop]
-            out.accepted[p : p + stop] = seg_v[:stop]
-            out.flagbits[p : p + stop] = bits[:stop]
-            self.seen += stop
-            self._accept(float(seg_t[stop - 1]), seg_v[:stop].tolist())
-        if p + stop == e:
-            return e
-        i = p + stop
-        c, b = float(conf[stop]), int(bits[stop])
-        self.seen += 1
-        out.confidence[i], out.flagbits[i] = c, b
-        out.accepted[i], out.reconstructed[i] = self._reject(float(seg_t[stop]), float(seg_v[stop]), c, b)
-        return i + 1
+        t, v = out.timestamps[p:e], out.raw[p:e]
+        out_conf, out_acc, out_bits = out.confidence[p:e], out.accepted[p:e], out.flagbits[p:e]
+        conf, bits, kept = self._judge(t, v, out_bits)
+        n, i = e - p, 0
+        while True:
+            ok = conf[i:] >= self.config.accept_threshold
+            j = n if ok.all() else i + int(np.argmin(ok))
+            if j > i:
+                out_conf[i:j], out_acc[i:j], out_bits[i:j] = conf[i:j], v[i:j], bits[i:j]
+                self.seen += j - i
+                self._accept(float(t[j - 1]), v[i:j].tolist())
+            if j == n:
+                return e
+            c, b = float(conf[j]), int(bits[j])
+            self.seen += 1
+            out_conf[j], out_bits[j] = c, b
+            out_acc[j], out.reconstructed[p + j] = self._reject(float(t[j]), float(v[j]), c, b)
+            i = j + 1
+            if i == n or self._reanchor_due():
+                return p + i
+            k = min(n, i + self.config.window - 1)
+            conf[i:k], bits[i:k], _ = self._judge(t[i:k], v[i:k], kept[i:k], raw=False)
 
     def finalize(self) -> list[FaultReport]:
         """Close any open episode and return all reports for this sensor."""
@@ -584,6 +592,11 @@ class BatchResult:
         )
 
 
+# readings per run_batch block: a longer block infers more rows that a
+# reanchor stop throws away, a shorter one costs more per clean reading
+_BLOCK_ROWS = 4096
+
+
 def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Fresh Welford variance of the trailing window at each position.
 
@@ -594,6 +607,12 @@ def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> tuple[
     k = len(values)
     t = len(tail)
     full = np.concatenate([tail, values])
+    if k < width:
+        # a block's rows judged again after a rejection: a pass over each
+        # window on Python floats costs less than a numpy pass per offset
+        points = full.tolist()
+        stats = [_window_var(points[max(0, t + i + 1 - width) : t + i + 1]) for i in range(k)]
+        return np.array([var for var, _ in stats], dtype=float), np.array([n for _, n in stats], dtype=int)
     counts = np.minimum(width, t + np.arange(k) + 1)
     mean = np.zeros(k)
     m2 = np.zeros(k)
@@ -634,11 +653,11 @@ def run_batch(
 
     A ``SensorValidator`` judges it: rows it cannot take as a block
     (warm-up, no estimate yet, a reanchor due, a regressed timestamp) go
-    through the row driver, everything else through blocks of 1024 rows,
-    64 after a rejection and four times as many after a fully accepted
-    block, up to 65536. Outcomes and reports are those of
-    ``SensorValidator.step`` on the same readings with finite timestamps,
-    up to the centroid rounding described in the module docstring.
+    through the row driver, everything else through blocks of
+    ``_BLOCK_ROWS`` readings. A block goes on past a rejection and ends
+    early only where a reanchor falls due or before a regressed
+    timestamp. Outcomes and reports are those of ``SensorValidator.step``
+    on the same readings with finite timestamps, bit for bit.
 
     ``extra_flagbits`` holds one reading's flag bits from outside the
     sensor, as ``step`` takes them: they are set on the reading and count
@@ -661,7 +680,6 @@ def run_batch(
     # state at its exact position
     regressed = (np.flatnonzero(t[1:] < np.maximum.accumulate(t)[:-1]) + 1).tolist() + [n]
     r = 0
-    block = 1024
     p = 0
     while p < n:
         at_regressed = p == regressed[r]
@@ -673,9 +691,6 @@ def run_batch(
             r += at_regressed
             p += 1
         else:
-            e = min(p + block, regressed[r])
-            p_next = sv._block(out, p, e)
-            block = 64 if p_next < e else min(65536, block * 4)
-            p = p_next
+            p = sv._block(out, p, min(p + _BLOCK_ROWS, regressed[r]))
     out.reports = sv.finalize()
     return out

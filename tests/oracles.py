@@ -229,7 +229,18 @@ def _loop_block(system, clamped: np.ndarray, values: np.ndarray, no_rule: np.nda
         dead = area == 0.0
         no_rule |= dead
         safe = np.where(dead, 1.0, area)
-        values[:, o] = np.where(dead, (var.lo + var.hi) / 2.0, (agg @ grid) / safe)
+        values[:, o] = np.where(
+            dead,
+            (var.lo + var.hi) / 2.0,
+            (var.lo + var.hi) / 2.0
+            + (var.hi - var.lo) / 2.0
+            * np.einsum(
+                "ij,j->i",
+                agg[:, : grid.size // 2] - agg[:, ::-1][:, : grid.size // 2],
+                (2 * np.arange(grid.size // 2) - (grid.size - 1)) / (grid.size - 1),
+            )
+            / safe,
+        )
 
 
 def loop_infer_batch(system, points: np.ndarray):
@@ -237,7 +248,7 @@ def loop_infer_batch(system, points: np.ndarray):
     output terms: (values, no_rule_fired, out_of_range).
 
     Unlike ``mamdani_reference``, this follows the engine step for step
-    (4096-row blocks, the same clamp, the same centroid product), so its
+    (4096-row blocks, the same clamp, the same centroid fold), so its
     results must equal the engine's exactly, NaN and inf included.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -190,21 +190,13 @@ def test_validate_multi_sensor_spe_stream_matches_validator_step(tmp_path):
     assert proc.returncode == 1, proc.stderr
     reconstructed = sum(o["reconstructed"] for o in want)
     assert f"{len(want)} samples, {reconstructed} reconstructed, {len(want_reports)} reports" in proc.stderr
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g["confidence"] == pytest.approx(w["confidence"], abs=1e-9)
-        del g["confidence"], w["confidence"]
-        assert g == w
+    assert got == want
     assert any("spe_trip" in w["flags"] for w in want)
     assert any("time_regression" in w["flags"] for w in want)
     assert any("zero_interval" in w["flags"] for w in want)
     assert "c" in [r["sensor_id"] for r in want_reports]
-    stats = ("min_confidence", "mean_confidence", "value_mean")
     assert [list(r) for r in got_reports] == [list(r) for r in want_reports]
-    for g, w in zip(got_reports, want_reports):
-        for key in stats:
-            assert g.pop(key) == pytest.approx(w.pop(key), abs=1e-9)
-        assert g == w
+    assert got_reports == want_reports
 
 
 def test_validate_custom_fis(tmp_path):

@@ -430,6 +430,46 @@ def test_engine_equals_loop_reference_exactly(case):
         assert np.array_equal(got.out_of_range, out_of_range)
 
 
+@pytest.mark.parametrize("case", ["default", "edge-cases-sum"])
+def test_each_row_of_a_block_equals_the_row_inferred_alone(case):
+    # every step, the centroid included, is row-wise: a row's outputs do
+    # not depend on the rows inferred with it
+    rng = np.random.default_rng(list(map(ord, case)))
+    if case == "default":
+        system = default_system()
+    else:
+        system = dataclasses.replace(
+            _with_edge_cases(random_system(rng), rng), aggregation="sum", resolution=101
+        )
+    pts = _hostile_points(system, 10_000, rng)
+    block = infer_batch(system, pts)
+    for i in range(len(pts)):
+        one = infer_batch(system, pts[i : i + 1])
+        assert np.array_equal(one.values[0], block.values[i], equal_nan=True), i
+        assert one.no_rule_fired[0] == block.no_rule_fired[i]
+        assert one.out_of_range[0] == block.out_of_range[i]
+
+
+@pytest.mark.parametrize("implication", ["min", "prod"])
+@pytest.mark.parametrize("aggregation", ["max", "sum"])
+def test_symmetric_aggregate_has_the_midpoint_as_centroid(implication, aggregation):
+    # the grid is 0, 1, ..., 100 and the triangle's limbs take the same
+    # quotients k/30 on either side, so the clipped or scaled aggregate is
+    # exactly symmetric about 50 and its centroid is exactly 50
+    a = LinguisticVariable("a", 0.0, 1.0, (("on", MembershipFunction.triangular(0.0, 1.0, 2.0)),))
+    out = LinguisticVariable(
+        "o", 0.0, 100.0, (("mid", MembershipFunction.triangular(20.0, 50.0, 80.0)),)
+    )
+    system = FuzzySystem(
+        "s", (a,), (out,), (Rule((1,), (1,), 1.0, "and"),),
+        implication=implication, aggregation=aggregation,
+    )
+    for x in (0.3, 0.7, 1.0):
+        res = infer_batch(system, np.array([[x]]))
+        assert res.values[0, 0] == 50.0
+        assert not res.no_rule_fired[0]
+
+
 def test_infer_rejects_wrong_arity():
     with pytest.raises(ValueError):
         infer(default_system(), [1.0, 2.0])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sensorval import pipeline
 from sensorval.detectors import _welford, pca_fit
 from sensorval.fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
 from sensorval.pipeline import (
@@ -295,8 +296,8 @@ def _assert_batch_matches_scalar(samples, config, extra_flagbits=None):
     for got, want in zip(batch.outcomes(), scalar_outs):
         assert got.reconstructed == want.reconstructed
         assert got.flags == want.flags
-        assert got.confidence == pytest.approx(want.confidence, abs=1e-9)
-        assert got.accepted == pytest.approx(want.accepted, abs=1e-9)
+        assert got.confidence == want.confidence
+        assert got.accepted == want.accepted
     assert len(batch.reports) == len(scalar_reports)
     for got, want in zip(batch.reports, scalar_reports):
         assert got.sensor_id == want.sensor_id
@@ -304,9 +305,11 @@ def _assert_batch_matches_scalar(samples, config, extra_flagbits=None):
         assert got.end == want.end
         assert got.count == want.count
         assert got.dominant_flags == want.dominant_flags
-        assert got.min_confidence == pytest.approx(want.min_confidence, abs=1e-9)
-        assert got.mean_confidence == pytest.approx(want.mean_confidence, abs=1e-9)
-        assert got.value_mean == pytest.approx(want.value_mean, abs=1e-9)
+        assert got.min_confidence == want.min_confidence
+        assert got.mean_confidence == want.mean_confidence
+        assert got.value_min == want.value_min
+        assert got.value_max == want.value_max
+        assert got.value_mean == want.value_mean
     return batch
 
 
@@ -331,9 +334,9 @@ def test_run_batch_matches_scalar_on_fault_shapes():
 
 
 def test_run_batch_matches_scalar_across_inference_tiles():
-    # the batch path reaches a 16384-row chunk once 5125 clean rows have
-    # passed; the spikes then cut that chunk after more than 4096 accepted
-    # rows, so one commit spans two inference tiles and a long EWMA run
+    # the batch path judges 4096-row blocks after warm-up; the first spike
+    # falls in the third block after 1103 accepted rows, so one commit
+    # spans several inference tiles and a long EWMA run
     stream = _stream(n=10_000, seed=206)
     faulty = inject_all(
         stream,
@@ -353,6 +356,35 @@ def test_run_batch_matches_scalar_across_inference_tiles():
     assert batch.reconstructed[9300]
     assert batch.reconstructed.sum() >= 5
     _assert_batch_matches_scalar(faulty.samples, PipelineConfig())
+
+
+def test_run_batch_infers_each_reading_about_once(monkeypatch):
+    # a rejection re-infers only the next window - 1 rows, so 2% spikes
+    # and a lockout that ends in a reanchor cost well under 2.5 inferred
+    # rows per reading (restarting the block after each one cost over 4)
+    rng = np.random.default_rng(208)
+    n = 5000
+    values = 200.0 + rng.normal(0.0, 1.0, n)
+    spikes = rng.choice(np.arange(100, 2900), size=n // 50, replace=False)
+    values[spikes] += rng.choice([-1.0, 1.0], spikes.size) * rng.uniform(15.0, 30.0, spikes.size)
+    values[3000:] += 80.0  # a level shift: a lockout, then a reanchor
+    samples = [Sample(float(i), float(x), "s1") for i, x in enumerate(values)]
+
+    rows = []
+    real = pipeline.infer_batch
+
+    def counting(system, points):
+        rows.append(len(points))
+        return real(system, points)
+
+    monkeypatch.setattr(pipeline, "infer_batch", counting)
+    batch = run_batch(PipelineConfig(), np.arange(float(n)), values, "s1")
+    monkeypatch.setattr(pipeline, "infer_batch", real)
+    assert sum(rows) <= 2.5 * n
+    reanchor = PipelineConfig().reanchor_after
+    assert batch.reconstructed[3000 : 3000 + reanchor].all()
+    assert not batch.reconstructed[3000 + reanchor + 1 :].any()
+    _assert_batch_matches_scalar(samples, PipelineConfig())
 
 
 def test_run_batch_matches_scalar_after_an_inf_reading():
