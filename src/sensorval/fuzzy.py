@@ -269,7 +269,6 @@ class _Compiled:
         ).reshape(len(rules), len(system.inputs))
         self.n_and = sum(rule.connective != "or" for rule in rules)
         self.weights = np.array([rule.weight for rule in rules]).reshape(-1, 1)
-        self.weighted = bool(np.any(self.weights != 1.0))
         self.and_op = np.minimum if system.and_method == "min" else np.multiply
 
         res = system.resolution
@@ -325,8 +324,7 @@ class _Compiled:
             for i in range(1, picked.shape[1]):
                 d = picked[a:, i]
                 s[a:] += d - s[a:] * d
-        if self.weighted:
-            s *= self.weights
+        s *= self.weights
         return s
 
 

@@ -8,7 +8,6 @@ and blank lines, and report 1-based line numbers on anything else.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import IO, Iterable, Sequence
 
@@ -140,10 +139,10 @@ def read_labels(text: str) -> np.ndarray:
 _CHUNK_ROWS = 1024
 
 
-def write_outcomes(f: IO[str], res: BatchResult, sensor_ids: Sequence[str] | None = None) -> None:
+def write_outcomes(f: IO[str], res: BatchResult, sensor_ids: Sequence[str]) -> None:
     """Write each row of ``res`` as one JSON outcome line, in row order.
 
-    ``sensor_ids`` names each row's sensor (default: ``res.sensor_id``).
+    ``sensor_ids`` names each row's sensor.
     A line is ``json.dumps(outcome.to_dict())`` of the row's
     ``ValidationOutcome``, byte for byte: floats are written with
     ``repr``, as ``json.dumps`` writes them, the JSON of each sensor id and
@@ -156,10 +155,9 @@ def write_outcomes(f: IO[str], res: BatchResult, sensor_ids: Sequence[str] | Non
         rows = slice(a, a + _CHUNK_ROWS)
         cols = res.timestamps[rows], res.raw[rows], res.confidence[rows], res.accepted[rows]
         finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
-        sids = itertools.repeat(res.sensor_id) if sensor_ids is None else sensor_ids[rows]
         lines = []
         for ok, t, sid, raw, conf, acc, rec, bits in zip(
-            finite.tolist(), cols[0].tolist(), sids, cols[1].tolist(), cols[2].tolist(),
+            finite.tolist(), cols[0].tolist(), sensor_ids[rows], cols[1].tolist(), cols[2].tolist(),
             cols[3].tolist(), res.reconstructed[rows].tolist(), res.flagbits[rows].tolist(),
         ):
             if not ok:

@@ -32,7 +32,6 @@ input stream.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -58,7 +57,6 @@ FLAG_NAMES = (
 FLAG_BITS = {name: 1 << i for i, name in enumerate(FLAG_NAMES)}
 
 
-@functools.lru_cache(maxsize=None)
 def flags_from_bits(bits: int) -> tuple[str, ...]:
     return tuple(name for name in FLAG_NAMES if bits & FLAG_BITS[name])
 

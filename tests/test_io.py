@@ -54,10 +54,3 @@ def test_columns_are_written_as_json_dumps_writes_each_outcome():
     write_outcomes(f, res, sids)
     assert f.getvalue() == _dumps(res, sids)
 
-
-def test_rows_default_to_the_result_sensor():
-    res, _ = _columns(1500, np.random.default_rng(6))
-    res.sensor_id = 'bin "7"'
-    f = io.StringIO()
-    write_outcomes(f, res)
-    assert f.getvalue() == _dumps(res, [res.sensor_id] * 1500)
