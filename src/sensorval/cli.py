@@ -34,7 +34,6 @@ _FLOAT_KEYS = (
     "variance_threshold",
     "uncertainty_threshold",
 )
-_BOOL_KEYS = ("variance_enabled", "uncertainty_enabled")
 _PATH_KEYS = ("fis", "spe_model")
 
 
@@ -72,10 +71,6 @@ def parse_config_text(text: str) -> dict:
                 out[key] = int(val)
             elif key in _FLOAT_KEYS:
                 out[key] = float(val)
-            elif key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {val!r}")
-                out[key] = val.lower() == "true"
             elif key in _PATH_KEYS:
                 out[key] = val
             elif key == "spe_fusion":
@@ -95,10 +90,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
-    if getattr(args, "no_variance", False):
-        settings["variance_enabled"] = False
-    if getattr(args, "no_uncertainty", False):
-        settings["uncertainty_enabled"] = False
     if getattr(args, "fis", None):
         settings["fis"] = args.fis
 
@@ -114,7 +105,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     if spe_path:
         from .detectors import load_pca_model
 
-        cfg = replace(cfg, spe_model=load_pca_model(spe_path))
+        try:
+            cfg = replace(cfg, spe_model=load_pca_model(spe_path))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"invalid spe_model {spe_path}: {type(exc).__name__}: {exc}")
     if settings:
         cfg = replace(cfg, **settings)
     cfg.validate()
@@ -143,12 +137,12 @@ def _in_arrival_order(
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = _build_config(args)
-    except (UsageError, ConfigError, OSError) as exc:
+    except (UsageError, ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         timestamps, sensor_ids, values = svio.read_stream(_read_text(args.input))
-    except svio.ParseError as exc:
+    except (svio.ParseError, UnicodeDecodeError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -384,8 +378,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--reanchor-after", dest="reanchor_after", type=int)
     g.add_argument("--variance-threshold", dest="variance_threshold", type=float)
     g.add_argument("--uncertainty-threshold", dest="uncertainty_threshold", type=float)
-    g.add_argument("--no-variance", action="store_true")
-    g.add_argument("--no-uncertainty", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,9 +81,8 @@ class PipelineConfig:
     # collection event) cannot starve the pipeline forever; keep it
     # longer than any fault episode worth riding out, 0 disables
     reanchor_after: int = 100
-    variance_enabled: bool = True
+    # a threshold of inf turns its trip off
     variance_threshold: float = 9.0
-    uncertainty_enabled: bool = True
     uncertainty_threshold: float = 0.75
     spe_model: PcaModel | None = None
     spe_fusion: tuple[str, ...] = ()
@@ -407,9 +406,9 @@ class SensorValidator:
 
         raw_var, n = _window_var(self.raw_tail + [v])
         var, m = (raw_var, n) if self.tail == self.raw_tail else _window_var(self.tail + [v])
-        if cfg.variance_enabled and raw_var > cfg.variance_threshold:
+        if raw_var > cfg.variance_threshold:
             bits |= FLAG_BITS["variance_trip"]
-        if cfg.uncertainty_enabled and math.sqrt(raw_var / n) > cfg.uncertainty_threshold:
+        if math.sqrt(raw_var / n) > cfg.uncertainty_threshold:
             bits |= FLAG_BITS["uncertainty_trip"]
         std = math.sqrt(var) if m >= 2 else 0.0
 
@@ -430,36 +429,21 @@ class SensorValidator:
             return conf, v, False, bits
         return (conf, *self._reject(t, v, conf, bits), bits)
 
-    def _judge(self, t: np.ndarray, v: np.ndarray, kept: np.ndarray, raw: bool = True) -> tuple:
-        """(conf, bits, kept) of in-order readings ``t, v`` from the current
-        state, each judged as if every reading before it is accepted.
-        ``kept`` holds bits to keep, the caller's; with ``raw`` they gain
-        those that the timestamps and raw windows set, which a rejection
-        does not change, so rows judged again pass them back without."""
-        cfg = self.config
+    def _judge(self, t: np.ndarray, v: np.ndarray, var: np.ndarray, bits: np.ndarray) -> tuple:
+        """(conf, bits) of in-order readings ``t, v`` from the current state,
+        each judged as if every reading before it is accepted. ``var`` is
+        the variance of each one's validated window; ``bits`` holds the
+        bits to keep, which gain those of the timestamps and inference."""
         dts = t - np.concatenate(([self.prev_t], t[:-1]))
         with np.errstate(divide="ignore", invalid="ignore"):
             roc = np.where(dts == 0.0, 0.0, np.abs(v - np.concatenate(([self.prev_accepted], v[:-1]))) / dts)
-        var, counts = _rolling_welford(v, np.asarray(self.tail), cfg.window)
-        std = np.sqrt(np.where(counts >= 2, var, 0.0))
-        if raw:
-            if self.raw_tail == self.tail:
-                raw_var, raw_counts = var, counts
-            else:
-                raw_var, raw_counts = _rolling_welford(v, np.asarray(self.raw_tail), cfg.window)
-            kept = kept | (dts == 0.0) * FLAG_BITS["zero_interval"]
-            if cfg.variance_enabled:
-                kept |= (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
-            if cfg.uncertainty_enabled:
-                unc = np.sqrt(raw_var / raw_counts)
-                kept |= (unc > cfg.uncertainty_threshold) * FLAG_BITS["uncertainty_trip"]
-
-        res = infer_batch(self.system, np.column_stack([v, roc, std]))
+        res = infer_batch(self.system, np.column_stack([v, roc, np.sqrt(var)]))
         conf = np.clip((res.values[:, 0] - self._conf_lo) / self._conf_span, 0.0, 1.0)
         conf[res.no_rule_fired] = 0.0
-        bits = kept | res.no_rule_fired * FLAG_BITS["no_rule_fired"]
+        bits = bits | (dts == 0.0) * FLAG_BITS["zero_interval"]
+        bits |= res.no_rule_fired * FLAG_BITS["no_rule_fired"]
         bits |= res.out_of_range * FLAG_BITS["out_of_range"]
-        return conf, bits, kept
+        return conf, bits
 
     def _block(self, out: BatchResult, p: int, e: int) -> int:
         """Judge in-order readings p..e-1 of ``out`` as one numpy block.
@@ -467,18 +451,25 @@ class SensorValidator:
         ``_judge`` first takes every row as accepted. Accepted runs are
         committed in bulk. A rejection changes the features of the next
         ``window - 1`` rows only (a rate of change and the validated
-        windows), so they are judged again and the block goes on. The bits
-        already in ``out.flagbits`` are the caller's, as ``step`` takes
-        them, and are kept. Returns the first row left unjudged: ``e``, or
-        the row after a rejection that makes a reanchor due. Needs an
-        estimate and a previous reading, past warm-up, no reanchor due.
+        windows), so they are judged again and the block goes on. The raw
+        windows, and so the detector trips, do not depend on what is
+        accepted and are computed once. The bits already in
+        ``out.flagbits`` are the caller's, as ``step`` takes them, and are
+        kept. Returns the first row left unjudged: ``e``, or the row after
+        a rejection that makes a reanchor due. Needs a validated tail of
+        ``window - 1`` readings, past warm-up, no reanchor due.
         """
+        cfg, w = self.config, self.config.window
         t, v = out.timestamps[p:e], out.raw[p:e]
         out_conf, out_acc, out_bits = out.confidence[p:e], out.accepted[p:e], out.flagbits[p:e]
-        conf, bits, kept = self._judge(t, v, out_bits)
+        var = _rolling_welford(v, np.asarray(self.tail), w)
+        raw_var = var if self.raw_tail == self.tail else _rolling_welford(v, np.asarray(self.raw_tail), w)
+        kept = out_bits | (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
+        kept |= (np.sqrt(raw_var / w) > cfg.uncertainty_threshold) * FLAG_BITS["uncertainty_trip"]
+        conf, bits = self._judge(t, v, var, kept)
         n, i = e - p, 0
         while True:
-            ok = conf[i:] >= self.config.accept_threshold
+            ok = conf[i:] >= cfg.accept_threshold
             j = n if ok.all() else i + int(np.argmin(ok))
             if j > i:
                 out_conf[i:j], out_acc[i:j], out_bits[i:j] = conf[i:j], v[i:j], bits[i:j]
@@ -493,8 +484,9 @@ class SensorValidator:
             i = j + 1
             if i == n or self._reanchor_due():
                 return p + i
-            k = min(n, i + self.config.window - 1)
-            conf[i:k], bits[i:k], _ = self._judge(t[i:k], v[i:k], kept[i:k], raw=False)
+            k = min(n, i + w - 1)
+            var = _rolling_welford(v[i:k], np.asarray(self.tail), w)
+            conf[i:k], bits[i:k] = self._judge(t[i:k], v[i:k], var, kept[i:k])
 
     def finalize(self) -> list[FaultReport]:
         """Close any open episode and return all reports for this sensor."""
@@ -595,49 +587,31 @@ class BatchResult:
 _BLOCK_ROWS = 4096
 
 
-def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh Welford variance of the trailing window at each position.
+def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> np.ndarray:
+    """Fresh Welford variance of the window that ends at each new point.
 
-    ``values`` are the new points; ``tail`` holds up to width-1 earlier
-    points. Returns (variance, count) per new point; variance is NaN
-    where the window holds fewer than 2 points.
+    ``values`` are the new points and ``tail`` the ``width - 1`` points
+    before them, so every window is full: the one at i is
+    ``tail + values`` from i to i + width - 1.
     """
     k = len(values)
-    t = len(tail)
     full = np.concatenate([tail, values])
     if k < width:
         # a block's rows judged again after a rejection: a pass over each
         # window on Python floats costs less than a numpy pass per offset
         points = full.tolist()
-        stats = [_window_var(points[max(0, t + i + 1 - width) : t + i + 1]) for i in range(k)]
-        return np.array([var for var, _ in stats], dtype=float), np.array([n for _, n in stats], dtype=int)
-    counts = np.minimum(width, t + np.arange(k) + 1)
+        return np.array([_window_var(points[i : i + width])[0] for i in range(k)])
     mean = np.zeros(k)
     m2 = np.zeros(k)
-    # the first windows are still filling: the one at i spans full[:t+i+1]
-    head = min(k, max(0, width - 1 - t))
     # an inf reading turns its windows' statistics to NaN, silently, as
     # _welford does on Python floats
     with np.errstate(invalid="ignore"):
-        if head:
-            for off in range(t + head):
-                act = slice(max(0, off - t), head)
-                x = full[off]
-                delta = x - mean[act]
-                mean[act] += delta / (off + 1)
-                m2[act] += delta * (x - mean[act])
-        # every later window is full: each offset is a contiguous slice
-        full_mean, full_m2 = mean[head:], m2[head:]
-        lo = t + head - width + 1
         for off in range(width):
-            x = full[lo + off : lo + off + k - head]
-            delta = x - full_mean
-            full_mean += delta / (off + 1)
-            full_m2 += delta * (x - full_mean)
-    var = np.full(k, np.nan)
-    ok = counts >= 2
-    var[ok] = np.maximum(m2[ok], 0.0) / (counts[ok] - 1)
-    return var, counts
+            x = full[off : off + k]
+            delta = x - mean
+            mean += delta / (off + 1)
+            m2 += delta * (x - mean)
+    return np.maximum(m2, 0.0) / (width - 1)
 
 
 def run_batch(
@@ -650,12 +624,13 @@ def run_batch(
     """Validate one sensor's recorded stream, given as parallel arrays.
 
     A ``SensorValidator`` judges it: rows it cannot take as a block
-    (warm-up, no estimate yet, a reanchor due, a regressed timestamp) go
-    through the row driver, everything else through blocks of
-    ``_BLOCK_ROWS`` readings. A block goes on past a rejection and ends
-    early only where a reanchor falls due or before a regressed
-    timestamp. Outcomes and reports are those of ``SensorValidator.step``
-    on the same readings with finite timestamps, bit for bit.
+    (warm-up, a validated tail shorter than ``window - 1``, a reanchor
+    due, a regressed timestamp) go through the row driver, everything
+    else through blocks of ``_BLOCK_ROWS`` readings. A block goes on past
+    a rejection and ends early only where a reanchor falls due or before
+    a regressed timestamp. Outcomes and reports are those of
+    ``SensorValidator.step`` on the same readings with finite timestamps,
+    bit for bit.
 
     ``extra_flagbits`` holds one reading's flag bits from outside the
     sensor, as ``step`` takes them: they are set on the reading and count
@@ -681,7 +656,7 @@ def run_batch(
     p = 0
     while p < n:
         at_regressed = p == regressed[r]
-        if at_regressed or sv.seen < config.warmup or sv.est is None or sv._reanchor_due():
+        if at_regressed or sv.seen < config.warmup or len(sv.tail) < config.window - 1 or sv._reanchor_due():
             judge = sv._regressed if at_regressed else sv._row
             out.confidence[p], out.accepted[p], out.reconstructed[p], out.flagbits[p] = judge(
                 float(t[p]), float(v[p]), int(bits[p])

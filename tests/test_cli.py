@@ -118,6 +118,29 @@ def test_validate_unknown_config_key_exits_two(tmp_path):
     assert "acceptance_threshold" in proc.stderr
 
 
+def test_validate_non_utf8_input_exits_three(tmp_path):
+    stream = tmp_path / "s.csv"
+    stream.write_bytes(b"\xff\xfe\x00garbage\n")
+    proc = run_cli("validate", str(stream))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("model_text", ["not json\n", '{"mean": [1, 2]}\n'])
+def test_validate_unusable_spe_model_exits_two(tmp_path, model_text):
+    stream = tmp_path / "s.csv"
+    run_cli("simulate", "--n", "10", "-o", str(stream))
+    model = tmp_path / "model.json"
+    model.write_text(model_text)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(f"spe_model = {model}\nspe_fusion = a,b\n")
+    proc = run_cli("validate", str(stream), "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid spe_model ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_validate_spe_fusion_without_model_exits_two(tmp_path):
     stream = tmp_path / "s.csv"
     run_cli("simulate", "--n", "10", "-o", str(stream))

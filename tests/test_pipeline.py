@@ -405,6 +405,41 @@ def test_run_batch_is_silent_on_an_inf_reading():
         run_batch(PipelineConfig(), np.arange(5000.0), values)
 
 
+def _hard_stream(n=6000, seed=209):
+    """A spike, a noise burst, a long +70 step and a stuck run."""
+    rng = np.random.default_rng(seed)
+    values = 200.0 + rng.normal(0.0, 1.0, n)
+    values[1000] += 40.0
+    values[2000:2060] += rng.normal(0.0, 25.0, 60)
+    values[3000:4500] += 70.0
+    values[5000:5100] = values[4999]
+    return [Sample(float(i), float(x), "s1") for i, x in enumerate(values)]
+
+
+@pytest.mark.parametrize(
+    "window, warmup, reanchor_after",
+    [(2, 0, 3), (5, 0, 10), (20, 30, 100), (50, 3, 40), (3, 1, 0), (20, 5, 1)],
+)
+def test_run_batch_matches_scalar_with_other_windows(window, warmup, reanchor_after):
+    # the row driver hands a sensor to blocks once its validated tail is
+    # full, after warm-up and after each reanchor, whatever the window
+    cfg = PipelineConfig(window=window, warmup=warmup, reanchor_after=reanchor_after)
+    batch = _assert_batch_matches_scalar(_hard_stream(), cfg)
+    assert batch.reconstructed.any()
+
+
+def test_inf_thresholds_set_no_detector_trips():
+    trips = FLAG_BITS["variance_trip"] | FLAG_BITS["uncertainty_trip"]
+    samples = _hard_stream()
+    t = np.array([s.timestamp for s in samples])
+    v = np.array([s.value for s in samples])
+    assert (run_batch(PipelineConfig(), t, v).flagbits & trips).any()
+    cfg = PipelineConfig(variance_threshold=math.inf, uncertainty_threshold=math.inf)
+    # step's flags equal run_batch's row by row, so neither driver trips
+    batch = _assert_batch_matches_scalar(samples, cfg)
+    assert not (batch.flagbits & trips).any()
+
+
 def test_run_batch_matches_scalar_with_time_anomalies():
     samples = list(_stream(n=60, seed=205))
     samples[20] = dataclasses.replace(samples[20], timestamp=samples[18].timestamp)
@@ -415,23 +450,20 @@ def test_run_batch_matches_scalar_with_time_anomalies():
 @pytest.mark.parametrize("k", [1, 2, 19, 20, 60])
 @pytest.mark.parametrize("with_inf", [False, True])
 def test_rolling_welford_equals_welford_per_window(k, with_inf):
-    width = 20
+    # run_batch's blocks start with a full tail of width - 1 points
     rng = np.random.default_rng(k)
-    for t in range(width):
-        tail = 200.0 + rng.normal(0.0, 1.0, t)
+    for width in (2, 5, 20):
+        tail = 200.0 + rng.normal(0.0, 1.0, width - 1)
         values = 200.0 + rng.normal(0.0, 1.0, k)
         if with_inf:
             values[k // 2] = math.inf
-        var, counts = _rolling_welford(values, tail, width)
+        var = _rolling_welford(values, tail, width)
         full = np.concatenate([tail, values]).tolist()
-        want_var, want_counts = [], []
+        want = []
         for i in range(k):
-            window = full[max(0, t + i + 1 - width) : t + i + 1]
-            n, _, m2 = _welford(window)
-            want_var.append(max(m2, 0.0) / (n - 1) if n >= 2 else math.nan)
-            want_counts.append(n)
-        assert np.array_equal(var, want_var, equal_nan=True), (t, k)
-        assert counts.tolist() == want_counts
+            n, _, m2 = _welford(full[i : i + width])
+            want.append(max(m2, 0.0) / (n - 1))
+        assert np.array_equal(var, want, equal_nan=True), (width, k)
 
 
 def test_run_batch_empty_stream():
