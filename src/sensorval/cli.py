@@ -14,26 +14,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import io as svio
 from .fisfile import ERROR, load_fis, parse_fis, serialize_fis
 from .fuzzy import control_surface
-from .pipeline import BatchResult, ConfigError, PipelineConfig, run_batch, spe_flagbits
+from .pipeline import ConfigError, PipelineConfig, run_batch
 from .simulate import FAULT_KINDS, PROFILE_KINDS, FaultSpec, SignalProfile, generate, inject_all
 
 __all__ = ["main"]
 
-_INT_KEYS = ("report_after", "warmup", "window", "reanchor_after")
-_FLOAT_KEYS = (
-    "accept_threshold",
-    "fault_threshold",
-    "reconstruction_alpha",
-    "variance_threshold",
-    "uncertainty_threshold",
-)
+# PipelineConfig's numeric fields, each typed by its default: config-file
+# keys and --flags alike
+_NUMBER_KEYS = {f.name: type(f.default) for f in fields(PipelineConfig) if type(f.default) in (int, float)}
 _PATH_KEYS = ("fis", "spe_model")
 
 
@@ -67,10 +62,8 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         val = val.strip().strip("'\"")
         try:
-            if key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
+            if key in _NUMBER_KEYS:
+                out[key] = _NUMBER_KEYS[key](val)
             elif key in _PATH_KEYS:
                 out[key] = val
             elif key == "spe_fusion":
@@ -86,7 +79,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     settings: dict = {}
     if args.config:
         settings.update(parse_config_text(_read_text(args.config)))
-    for key in _INT_KEYS + _FLOAT_KEYS:
+    for key in _NUMBER_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
@@ -115,25 +108,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _in_arrival_order(
-    results: dict[str, BatchResult], rows: list[np.ndarray], timestamps: np.ndarray, values: np.ndarray
-) -> BatchResult:
-    """The sensors' outcome columns scattered back into arrival order;
-    ``rows`` holds each sensor's arrival indices, in the order of
-    ``results``. Reports stay with the sensors' results."""
-    n = len(values)
-    merged = BatchResult(
-        timestamps, values, np.empty(n), np.empty(n), np.empty(n, dtype=bool),
-        np.empty(n, dtype=np.uint16), [],
-    )
-    for idx, res in zip(rows, results.values()):
-        merged.confidence[idx] = res.confidence
-        merged.accepted[idx] = res.accepted
-        merged.reconstructed[idx] = res.reconstructed
-        merged.flagbits[idx] = res.flagbits
-    return merged
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = _build_config(args)
@@ -149,41 +123,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # each sensor's readings, in order of first appearance, go through
-    # run_batch; the outcomes go back into arrival order
-    n = len(values)
-    sensors = dict.fromkeys(sensor_ids)
-    code = {s: j for j, s in enumerate(sensors)}
-    codes = np.fromiter(map(code.__getitem__, sensor_ids), dtype=np.intp, count=n)
-    rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
-    spe_bits = spe_flagbits(cfg, sensor_ids, values)
-    results = {
-        sid: run_batch(cfg, timestamps[idx], values[idx], sid, spe_bits[idx])
-        for sid, idx in zip(sensors, rows)
-    }
-    reports = [r for result in results.values() for r in result.reports]
-    reconstructed = sum(int(result.reconstructed.sum()) for result in results.values())
-
+    res = run_batch(cfg, timestamps, values, sensor_ids)
     if args.output:
-        merged = _in_arrival_order(results, rows, timestamps, values)
         out = _open_out(args.output)
         try:
-            svio.write_outcomes(out, merged, sensor_ids)
+            svio.write_outcomes(out, res)
         finally:
             if out is not sys.stdout:
                 out.close()
     if args.reports:
         out = _open_out(args.reports)
         try:
-            svio.write_reports(out, reports)
+            svio.write_reports(out, res.reports)
         finally:
             if out is not sys.stdout:
                 out.close()
     print(
-        f"{n} samples, {reconstructed} reconstructed, {len(reports)} reports",
+        f"{len(values)} samples, {int(res.reconstructed.sum())} reconstructed, {len(res.reports)} reports",
         file=sys.stderr,
     )
-    return 1 if reports else 0
+    return 1 if res.reports else 0
 
 
 def _parse_fault(spec: str) -> FaultSpec:
@@ -239,6 +198,9 @@ def cmd_fis_check(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 3
     res = parse_fis(text)
     for d in res.diagnostics:
         print(str(d))
@@ -253,6 +215,9 @@ def cmd_fis_canon(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 3
     res = parse_fis(text)
     if res.system is None:
         for d in res.diagnostics:
@@ -334,7 +299,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     try:
         outcomes = svio.read_outcomes(_read_text(args.outcomes))
         labels = svio.read_labels(_read_text(args.labels))
-    except svio.ParseError as exc:
+    except (svio.ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -369,15 +334,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file mirroring PipelineConfig fields")
     p.add_argument("--fis", help="rulebase file overriding the shipped default")
     g = p.add_argument_group("config overrides")
-    g.add_argument("--accept-threshold", dest="accept_threshold", type=float)
-    g.add_argument("--fault-threshold", dest="fault_threshold", type=float)
-    g.add_argument("--report-after", dest="report_after", type=int)
-    g.add_argument("--reconstruction-alpha", dest="reconstruction_alpha", type=float)
-    g.add_argument("--warmup", dest="warmup", type=int)
-    g.add_argument("--window", dest="window", type=int)
-    g.add_argument("--reanchor-after", dest="reanchor_after", type=int)
-    g.add_argument("--variance-threshold", dest="variance_threshold", type=float)
-    g.add_argument("--uncertainty-threshold", dest="uncertainty_threshold", type=float)
+    for key, kind in _NUMBER_KEYS.items():
+        g.add_argument("--" + key.replace("_", "-"), type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -139,10 +139,10 @@ def read_labels(text: str) -> np.ndarray:
 _CHUNK_ROWS = 1024
 
 
-def write_outcomes(f: IO[str], res: BatchResult, sensor_ids: Sequence[str]) -> None:
-    """Write each row of ``res`` as one JSON outcome line, in row order.
+def write_outcomes(f: IO[str], res: BatchResult) -> None:
+    """Write each row of ``res`` as one JSON outcome line, in row order,
+    with the row's sensor from ``res.sensor_ids``.
 
-    ``sensor_ids`` names each row's sensor.
     A line is ``json.dumps(outcome.to_dict())`` of the row's
     ``ValidationOutcome``, byte for byte: floats are written with
     ``repr``, as ``json.dumps`` writes them, the JSON of each sensor id and
@@ -157,7 +157,7 @@ def write_outcomes(f: IO[str], res: BatchResult, sensor_ids: Sequence[str]) -> N
         finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
         lines = []
         for ok, t, sid, raw, conf, acc, rec, bits in zip(
-            finite.tolist(), cols[0].tolist(), sensor_ids[rows], cols[1].tolist(), cols[2].tolist(),
+            finite.tolist(), cols[0].tolist(), res.sensor_ids[rows], cols[1].tolist(), cols[2].tolist(),
             cols[3].tolist(), res.reconstructed[rows].tolist(), res.flagbits[rows].tolist(),
         ):
             if not ok:

@@ -13,16 +13,15 @@ state and is the only home of each rule that changes it: the regressed
 reading, the reanchor, accepting and rejecting. Two drivers feed it:
 
   * ``SensorValidator.step`` judges one reading on Python floats
-  * ``run_batch`` judges one sensor's recorded readings in numpy blocks:
-    features and inference for every row as if all were accepted, then
-    it commits rows in order; after a rejection it judges again the rows
-    whose features the rejection changed and goes on with the block
+  * ``SensorValidator._drive`` judges one sensor's recorded readings in
+    numpy blocks: features and inference for every row as if all were
+    accepted, then it commits rows in order; after a rejection it judges
+    again the rows whose features the rejection changed and goes on
 
-``Validator`` is the live multi-sensor API: it routes each reading to its
-sensor's ``step`` and sets ``spe_trip`` from PCA/SPE fusion. A recorded
-multi-sensor stream is judged per sensor by ``run_batch``, which takes
-the ``spe_trip`` bits that ``spe_flagbits`` computes with the same check
-as ``extra_flagbits``; ``sensorval validate`` does this for every stream.
+``Validator`` routes each reading to its sensor and sets ``spe_trip``
+from PCA/SPE fusion. Its ``step`` is the live multi-sensor API;
+``run_batch`` judges a whole recorded stream, fused or not, through the
+block driver, and ``sensorval validate`` calls it.
 
 Both drivers compute window statistics with a fresh Welford pass in the
 same order, and inference is row-wise, so they give the same outcomes
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -286,10 +285,10 @@ def _confidence_scale(system: FuzzySystem) -> tuple[float, float]:
 class SensorValidator:
     """One sensor's validation state, and every rule that changes it.
 
-    ``step`` is the row driver; ``run_batch`` drives the same state
-    through ``_block``. The tails hold the last ``window - 1`` raw and
-    validated readings; the window that judges a reading is its tail plus
-    the reading itself.
+    ``step`` is the row driver; ``_drive``, which ``run_batch`` calls,
+    drives the same state through ``_row`` and ``_block``. The tails hold
+    the last ``window - 1`` raw and validated readings; the window that
+    judges a reading is its tail plus the reading itself.
     """
 
     def __init__(self, config: PipelineConfig, sensor_id: str = ""):
@@ -488,6 +487,34 @@ class SensorValidator:
             var = _rolling_welford(v[i:k], np.asarray(self.tail), w)
             conf[i:k], bits[i:k] = self._judge(t[i:k], v[i:k], var, kept[i:k])
 
+    def _drive(self, out: BatchResult) -> None:
+        """Judge this sensor's readings in ``out``, in order, into its
+        outcome columns; the bits already in ``out.flagbits`` are the
+        caller's, as ``step`` takes them. Rows that cannot start a block
+        (warm-up, a validated tail shorter than ``window - 1``, a reanchor
+        due, a regressed timestamp) go through ``_row`` or ``_regressed``,
+        the rest through ``_block`` in blocks of ``_BLOCK_ROWS`` readings.
+        """
+        cfg = self.config
+        t, v, bits = out.timestamps, out.raw, out.flagbits
+        n = t.size
+        # a reading is regressed when its timestamp precedes the newest one
+        # so far; a block must not span one, whose outcome depends on the
+        # state at its exact position
+        regressed = (np.flatnonzero(t[1:] < np.maximum.accumulate(t)[:-1]) + 1).tolist() + [n]
+        r = p = 0
+        while p < n:
+            at_regressed = p == regressed[r]
+            if at_regressed or self.seen < cfg.warmup or len(self.tail) < cfg.window - 1 or self._reanchor_due():
+                judge = self._regressed if at_regressed else self._row
+                out.confidence[p], out.accepted[p], out.reconstructed[p], bits[p] = judge(
+                    float(t[p]), float(v[p]), int(bits[p])
+                )
+                r += at_regressed
+                p += 1
+            else:
+                p = self._block(out, p, min(p + _BLOCK_ROWS, regressed[r]))
+
     def finalize(self) -> list[FaultReport]:
         """Close any open episode and return all reports for this sensor."""
         if not self._finalized:
@@ -539,23 +566,9 @@ class Validator:
         return reports
 
 
-def spe_flagbits(config: PipelineConfig, sensor_ids: list[str], values: np.ndarray) -> np.ndarray:
-    """The ``spe_trip`` bits ``Validator.step`` sets on a recorded stream.
-
-    One uint16 per reading, in arrival order, from the same check on the
-    latest raw value of every fused sensor; all zero without a model.
-    """
-    bits = np.zeros(len(sensor_ids), dtype=np.uint16)
-    if config.spe_model is not None:
-        check = Validator(config)._spe_bits
-        for i, (s, x) in enumerate(zip(sensor_ids, np.asarray(values, dtype=float).tolist())):
-            bits[i] = check(s, x)
-    return bits
-
-
 @dataclass
 class BatchResult:
-    """Columnar outcomes of ``run_batch`` for one sensor."""
+    """Columnar outcomes of ``run_batch``, one row per reading."""
 
     timestamps: np.ndarray
     raw: np.ndarray
@@ -564,7 +577,7 @@ class BatchResult:
     reconstructed: np.ndarray   # bool
     flagbits: np.ndarray        # uint16, decode with flags_from_bits
     reports: list[FaultReport]
-    sensor_id: str = ""
+    sensor_ids: Sequence[str]   # each row's sensor
 
     def outcomes(self) -> list[ValidationOutcome]:
         """Materialize row dataclasses (avoid for very long streams)."""
@@ -573,7 +586,7 @@ class BatchResult:
     def outcome(self, i: int) -> ValidationOutcome:
         return ValidationOutcome(
             timestamp=float(self.timestamps[i]),
-            sensor_id=self.sensor_id,
+            sensor_id=self.sensor_ids[i],
             raw=float(self.raw[i]),
             confidence=float(self.confidence[i]),
             accepted=float(self.accepted[i]),
@@ -618,52 +631,46 @@ def run_batch(
     config: PipelineConfig,
     timestamps: np.ndarray,
     values: np.ndarray,
-    sensor_id: str = "",
-    extra_flagbits: np.ndarray | None = None,
+    sensor_ids: Sequence[str] | str = "",
 ) -> BatchResult:
-    """Validate one sensor's recorded stream, given as parallel arrays.
+    """Validate a recorded stream, given as parallel arrays in arrival order.
 
-    A ``SensorValidator`` judges it: rows it cannot take as a block
-    (warm-up, a validated tail shorter than ``window - 1``, a reanchor
-    due, a regressed timestamp) go through the row driver, everything
-    else through blocks of ``_BLOCK_ROWS`` readings. A block goes on past
-    a rejection and ends early only where a reanchor falls due or before
-    a regressed timestamp. Outcomes and reports are those of
-    ``SensorValidator.step`` on the same readings with finite timestamps,
-    bit for bit.
-
-    ``extra_flagbits`` holds one reading's flag bits from outside the
-    sensor, as ``step`` takes them: they are set on the reading and count
-    towards a report's dominant flags. PCA/SPE fusion spans sensors, so an
-    SPE config needs its ``spe_trip`` bits from ``spe_flagbits``.
+    ``sensor_ids`` names each reading's sensor, or is one ``str`` for a
+    stream of a single sensor. One ``Validator`` judges the stream: the
+    ``spe_trip`` bits first, since they change no sensor's state, then
+    each sensor's readings, in order of first appearance, through its
+    ``SensorValidator._drive``. Outcomes come back in arrival order, and
+    the reports are those of ``Validator.finalize``. They equal what
+    ``Validator.step`` gives on the same readings with finite timestamps,
+    bit for bit. A single sensor's readings are judged in place; several
+    sensors' are gathered per sensor and scattered back.
     """
-    sv = SensorValidator(config, sensor_id)
-    if config.spe_model is not None and extra_flagbits is None:
-        raise ConfigError("an SPE config needs its spe_trip bits as extra_flagbits (see spe_flagbits)")
+    validator = Validator(config)
     t = np.asarray(timestamps, dtype=float)
     v = np.asarray(values, dtype=float)
     n = t.size
-    bits = np.zeros(n, dtype=np.uint16) if extra_flagbits is None else np.array(extra_flagbits, dtype=np.uint16)
-    if t.shape != v.shape or t.shape != bits.shape or t.ndim != 1:
-        raise ValueError("timestamps, values and extra_flagbits must be equal-length 1-D arrays")
-    out = BatchResult(t, v, np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits, [], sensor_id)
+    if isinstance(sensor_ids, str):
+        sensors, sensor_ids = {sensor_ids: None}, [sensor_ids] * n
+    else:
+        sensors = dict.fromkeys(sensor_ids)
+    if t.shape != v.shape or t.ndim != 1 or len(sensor_ids) != n:
+        raise ValueError("timestamps, values and sensor_ids must be equal-length 1-D sequences")
+    bits = np.zeros(n, dtype=np.uint16)
+    if config.spe_model is not None:
+        for i, (s, x) in enumerate(zip(sensor_ids, v.tolist())):
+            bits[i] = validator._spe_bits(s, x)
+    out = BatchResult(t, v, np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits, [], sensor_ids)
 
-    # a reading is regressed when its timestamp precedes the newest one
-    # so far; a block must not span one, whose outcome depends on the
-    # state at its exact position
-    regressed = (np.flatnonzero(t[1:] < np.maximum.accumulate(t)[:-1]) + 1).tolist() + [n]
-    r = 0
-    p = 0
-    while p < n:
-        at_regressed = p == regressed[r]
-        if at_regressed or sv.seen < config.warmup or len(sv.tail) < config.window - 1 or sv._reanchor_due():
-            judge = sv._regressed if at_regressed else sv._row
-            out.confidence[p], out.accepted[p], out.reconstructed[p], out.flagbits[p] = judge(
-                float(t[p]), float(v[p]), int(bits[p])
-            )
-            r += at_regressed
-            p += 1
-        else:
-            p = sv._block(out, p, min(p + _BLOCK_ROWS, regressed[r]))
-    out.reports = sv.finalize()
+    if len(sensors) == 1:
+        validator._sensor(*sensors)._drive(out)
+    elif sensors:
+        code = {s: j for j, s in enumerate(sensors)}
+        codes = np.fromiter(map(code.__getitem__, sensor_ids), dtype=np.intp, count=n)
+        order = np.argsort(codes, kind="stable")
+        cols = (t[order], v[order], np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits[order])
+        ends = np.cumsum(np.bincount(codes)).tolist()
+        for sid, a, e in zip(sensors, [0] + ends, ends):
+            validator._sensor(sid)._drive(BatchResult(*(c[a:e] for c in cols), [], ()))
+        out.confidence[order], out.accepted[order], out.reconstructed[order], out.flagbits[order] = cols[2:]
+    out.reports = validator.finalize()
     return out

@@ -127,6 +127,21 @@ def test_validate_non_utf8_input_exits_three(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command", [["score", "{bad}", "--labels", "{labels}"], ["fis", "check", "{bad}"], ["fis", "canon", "{bad}"]]
+)
+def test_non_utf8_file_exits_three(tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00garbage\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("index,faulty\n0,0\n")
+    proc = run_cli(*(arg.format(bad=bad, labels=labels) for arg in command))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert bad.read_bytes() == b"\xff\xfe\x00garbage\n"
+
+
 @pytest.mark.parametrize("model_text", ["not json\n", '{"mean": [1, 2]}\n'])
 def test_validate_unusable_spe_model_exits_two(tmp_path, model_text):
     stream = tmp_path / "s.csv"

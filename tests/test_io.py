@@ -27,13 +27,10 @@ def _columns(n, rng):
     ).astype(np.uint16)
     sensors = ['plain', 'quote"d', "back\\slash", "new\nline", "café", "日本", "\U0001f4a7", ""]
     sids = [sensors[i] for i in rng.integers(0, len(sensors), n)]
-    return (
-        BatchResult(col(), col(), col(), col(), rng.random(n) < 0.5, flagbits, []),
-        sids,
-    )
+    return BatchResult(col(), col(), col(), col(), rng.random(n) < 0.5, flagbits, [], sids)
 
 
-def _dumps(res, sids):
+def _dumps(res):
     return "".join(
         json.dumps(
             ValidationOutcome(
@@ -43,14 +40,14 @@ def _dumps(res, sids):
             ).to_dict()
         )
         + "\n"
-        for i, sid in enumerate(sids)
+        for i, sid in enumerate(res.sensor_ids)
     )
 
 
 def test_columns_are_written_as_json_dumps_writes_each_outcome():
-    res, sids = _columns(3000, np.random.default_rng(5))
+    res = _columns(3000, np.random.default_rng(5))
     assert not np.isfinite(res.confidence).all() and not np.isfinite(res.timestamps).all()
     f = io.StringIO()
-    write_outcomes(f, res, sids)
-    assert f.getvalue() == _dumps(res, sids)
+    write_outcomes(f, res)
+    assert f.getvalue() == _dumps(res)
 

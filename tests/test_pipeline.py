@@ -32,10 +32,9 @@ def _stream(n=120, level=200.0, noise=1.0, seed=101, sensor="s1"):
     )
 
 
-def _run(samples, config=None, sensor="s1", extra_flagbits=None):
+def _run(samples, config=None, sensor="s1"):
     v = SensorValidator(config or PipelineConfig(), sensor)
-    extra = [0] * len(samples) if extra_flagbits is None else extra_flagbits
-    outs = [v.step(s, int(b)) for s, b in zip(samples, extra)]
+    outs = [v.step(s) for s in samples]
     return outs, v.finalize()
 
 
@@ -287,11 +286,11 @@ def test_tracker_matches_run_length_scanner():
 # batch path
 
 
-def _assert_batch_matches_scalar(samples, config, extra_flagbits=None):
+def _assert_batch_matches_scalar(samples, config):
     t = np.array([s.timestamp for s in samples])
     v = np.array([s.value for s in samples])
-    batch = run_batch(config, t, v, "s1", extra_flagbits)
-    scalar_outs, scalar_reports = _run(samples, config, extra_flagbits=extra_flagbits)
+    batch = run_batch(config, t, v, "s1")
+    scalar_outs, scalar_reports = _run(samples, config)
     assert len(batch.outcomes()) == len(scalar_outs)
     for got, want in zip(batch.outcomes(), scalar_outs):
         assert got.reconstructed == want.reconstructed
@@ -323,14 +322,6 @@ def test_run_batch_matches_scalar_on_fault_shapes():
         stream = _stream(n=400, seed=seed)
         faulty = inject(stream, fault, seed=seed)
         _assert_batch_matches_scalar(faulty.samples, PipelineConfig())
-    # bits from outside the sensor, as SPE fusion gives them, reach the
-    # burst's rows in both drivers and are among its report's dominant flags
-    burst = inject(_stream(n=400, seed=202), FaultSpec("noise_burst", 150, 60, 100.0), seed=202)
-    spe_bits = np.zeros(400, dtype=np.uint16)
-    spe_bits[150:210] = FLAG_BITS["spe_trip"]
-    batch = _assert_batch_matches_scalar(burst.samples, PipelineConfig(), spe_bits)
-    assert batch.reports
-    assert all("spe_trip" in r.dominant_flags for r in batch.reports)
 
 
 def test_run_batch_matches_scalar_across_inference_tiles():
@@ -472,15 +463,6 @@ def test_run_batch_empty_stream():
     assert batch.reports == []
 
 
-def test_run_batch_rejects_spe_configs():
-    rng = np.random.default_rng(1)
-    X = np.column_stack([rng.normal(0, 1, 30), rng.normal(0, 1, 30)]) + 5.0
-    model = pca_fit(X + np.outer(rng.normal(0, 5, 30), [1.0, 0.8]), 1)
-    cfg = PipelineConfig(spe_model=model, spe_fusion=("a", "b"))
-    with pytest.raises(ConfigError):
-        run_batch(cfg, np.array([0.0]), np.array([1.0]))
-
-
 # configuration validation
 
 _RNG = np.random.default_rng(2)
@@ -574,6 +556,38 @@ def test_spe_fusion_sets_flag_without_touching_confidence():
     assert all("spe_trip" not in o.flags for o in early)
     # parallel evidence only: confidence identical with and without the model
     assert [o.confidence for o in fused_outs] == [o.confidence for o in plain_outs]
+
+
+def test_run_batch_matches_validator_step_on_a_fused_fleet():
+    # three sensors in an irregular order: a and b fused by a PCA model, c
+    # first seen at reading 2000; a burst on a trips the SPE check, and
+    # one reading of the stream has a regressed timestamp
+    rng = np.random.default_rng(23)
+    level = rng.normal(100.0, 10.0, 300)
+    calibration = np.column_stack(
+        [level + rng.normal(0.0, 0.5, 300), 0.8 * level + rng.normal(0.0, 0.5, 300)]
+    )
+    cfg = PipelineConfig(spe_model=pca_fit(calibration, 1), spe_fusion=("a", "b"))
+    n = 9000
+    sids = rng.choice(["a", "b", "c"], size=n, p=[0.4, 0.35, 0.25])
+    sids[:2000][sids[:2000] == "c"] = "a"
+    t = np.cumsum(rng.uniform(0.1, 1.0, n))
+    t[5000] = t[4990]
+    v = np.empty(n)
+    for s, lvl, noise in (("a", 100.0, 0.5), ("b", 80.0, 0.5), ("c", 200.0, 1.0)):
+        v[sids == s] = lvl + rng.normal(0.0, noise, int((sids == s).sum()))
+    burst = np.flatnonzero(sids == "a")[1500:1560]
+    v[burst] += 40.0 + rng.normal(0.0, 20.0, burst.size)
+    sids = sids.tolist()
+
+    res = run_batch(cfg, t, v, sids)
+    validator = Validator(cfg)
+    want = [validator.step(Sample(float(x), float(y), s)) for x, y, s in zip(t, v, sids)]
+    assert res.outcomes() == want
+    assert res.reports == validator.finalize()
+    assert sids.index("c") == 2000
+    assert sum("time_regression" in o.flags for o in want) == 1
+    assert any("spe_trip" in r.dominant_flags for r in res.reports if r.sensor_id == "a")
 
 
 def test_finalize_is_idempotent():
