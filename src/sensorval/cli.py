@@ -5,8 +5,10 @@ writes synthetic streams with fault labels, ``fis`` inspects or converts
 rulebase files and exports surfaces, ``score`` compares outcomes against
 ground truth.
 
-Exit codes: 0 success, 1 validation found faults (or a checked file has
-diagnostics), 2 usage/config error, 3 input parse error.
+Exit codes, the same for every subcommand: 0 success, 1 validation found
+faults (or a checked file has diagnostics), 2 usage or config error or a
+file that cannot be opened, read or written, 3 an input that is not UTF-8
+or does not parse.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
 
 from . import io as svio
-from .fisfile import ERROR, load_fis, parse_fis, serialize_fis
+from .fisfile import ERROR, parse_fis, serialize_fis
 from .fuzzy import control_surface
 from .pipeline import ConfigError, PipelineConfig, run_batch
 from .simulate import FAULT_KINDS, PROFILE_KINDS, FaultSpec, SignalProfile, generate, inject_all
@@ -36,17 +39,39 @@ class UsageError(Exception):
     pass
 
 
+class InputError(Exception):
+    """An input that does not decode as UTF-8 or does not parse."""
+
+
 def _read_text(path: str) -> str:
+    """A file, or stdin for ``-``, decoded as UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r") as f:
-        return f.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
-def _open_out(path: str):
+def _parse(path: str, reader):
+    """``reader`` applied to the text at ``path``; its ParseError names the file."""
+    try:
+        return reader(_read_text(path))
+    except svio.ParseError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _output(path: str):
+    """A text destination: stdout for ``-``, else the file, closed on exit."""
     if path == "-":
-        return sys.stdout
-    return open(path, "w", newline="\n")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            yield f
 
 
 def parse_config_text(text: str) -> dict:
@@ -75,10 +100,18 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _read_setting(path: str) -> str:
+    """A --config or --fis file: one that does not decode is a usage error."""
+    try:
+        return _read_text(path)
+    except InputError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     settings: dict = {}
     if args.config:
-        settings.update(parse_config_text(_read_text(args.config)))
+        settings.update(parse_config_text(_read_setting(args.config)))
     for key in _NUMBER_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -89,7 +122,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     fis_path = settings.pop("fis", None)
     if fis_path:
-        res = parse_fis(_read_text(fis_path))
+        res = parse_fis(_read_setting(fis_path))
         if res.system is None:
             problems = "; ".join(str(d) for d in res.diagnostics if d.severity == ERROR)
             raise UsageError(f"invalid rulebase {fis_path}: {problems}")
@@ -109,35 +142,15 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _build_config(args)
-    except (UsageError, ConfigError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        timestamps, sensor_ids, values = svio.read_stream(_read_text(args.input))
-    except (svio.ParseError, UnicodeDecodeError) as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    cfg = _build_config(args)
+    timestamps, sensor_ids, values = _parse(args.input, svio.read_stream)
     res = run_batch(cfg, timestamps, values, sensor_ids)
     if args.output:
-        out = _open_out(args.output)
-        try:
-            svio.write_outcomes(out, res)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        with _output(args.output) as f:
+            svio.write_outcomes(f, res)
     if args.reports:
-        out = _open_out(args.reports)
-        try:
-            svio.write_reports(out, res.reports)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        with _output(args.reports) as f:
+            svio.write_reports(f, res.reports)
     print(
         f"{len(values)} samples, {int(res.reconstructed.sum())} reconstructed, {len(res.reports)} reports",
         file=sys.stderr,
@@ -173,35 +186,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         faults = [_parse_fault(s) for s in args.fault]
         samples = generate(profile, args.n, args.sensor_id)
         labeled = inject_all(samples, faults, seed=args.seed)
-    except (UsageError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, IndexError) as exc:
+        raise UsageError(str(exc)) from None
 
-    out = _open_out(args.output)
-    try:
-        svio.write_stream(out, labeled.samples)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.output) as f:
+        svio.write_stream(f, labeled.samples)
     labels_path = args.labels
     if labels_path is None and args.output != "-":
         labels_path = args.output + ".labels.csv"
     if labels_path:
-        with open(labels_path, "w", newline="\n") as f:
+        with _output(labels_path) as f:
             svio.write_labels(f, labeled.labels)
     return 0
 
 
 def cmd_fis_check(args: argparse.Namespace) -> int:
-    try:
-        text = _read_text(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return 3
-    res = parse_fis(text)
+    res = parse_fis(_read_text(args.path))
     for d in res.diagnostics:
         print(str(d))
     if res.system is None:
@@ -210,48 +210,32 @@ def cmd_fis_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fis_canon(args: argparse.Namespace) -> int:
-    try:
-        text = _read_text(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return 3
-    res = parse_fis(text)
+    res = parse_fis(_read_text(args.path))
     if res.system is None:
         for d in res.diagnostics:
             print(str(d), file=sys.stderr)
         return 3
     canon = serialize_fis(res.system)
-    dest = args.output or args.path
-    if dest == "-":
-        sys.stdout.write(canon)
-    else:
-        with open(dest, "w", newline="\n") as f:
-            f.write(canon)
+    with _output(args.output or args.path) as f:
+        f.write(canon)
     return 0
 
 
 def cmd_fis_surface(args: argparse.Namespace) -> int:
+    system = parse_fis(_read_text(args.path)).system
+    if system is None:
+        raise InputError(f"{args.path} does not parse cleanly")
+    names = [v.name for v in system.inputs]
+
+    def axis_index(token: str) -> int:
+        if token in names:
+            return names.index(token)
+        try:
+            return int(token)
+        except ValueError:
+            raise UsageError(f"unknown input {token!r} (choose from {', '.join(names)})")
+
     try:
-        system = (
-            parse_fis(_read_text(args.path)).system
-            if args.path == "-"
-            else load_fis(args.path).system
-        )
-        if system is None:
-            raise UsageError(f"{args.path} does not parse cleanly")
-        names = [v.name for v in system.inputs]
-
-        def axis_index(token: str) -> int:
-            if token in names:
-                return names.index(token)
-            try:
-                return int(token)
-            except ValueError:
-                raise UsageError(f"unknown input {token!r} (choose from {', '.join(names)})")
-
         ax = args.axes.split(",")
         if len(ax) != 2:
             raise UsageError("--axes must name two inputs, e.g. rate_of_change,std_dev")
@@ -272,45 +256,26 @@ def cmd_fis_surface(args: argparse.Namespace) -> int:
                 var = system.inputs[k]
                 fixed[k] = (var.lo + var.hi) / 2.0
         surf = control_surface(system, i, j, fixed, grid=(ni, nj))
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     xi = system.inputs[i].grid(ni)
     xj = system.inputs[j].grid(nj)
-    out = _open_out(args.output)
-    try:
-        out.write("x,y,output\n")
+    with _output(args.output) as f:
+        f.write("x,y,output\n")
         for a in range(ni):
             for b in range(nj):
                 cell = surf[a, b]
                 cell_txt = "" if np.isnan(cell) else repr(float(cell))
-                out.write(f"{float(xi[a])!r},{float(xj[b])!r},{cell_txt}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                f.write(f"{float(xi[a])!r},{float(xj[b])!r},{cell_txt}\n")
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    try:
-        outcomes = svio.read_outcomes(_read_text(args.outcomes))
-        labels = svio.read_labels(_read_text(args.labels))
-    except (svio.ParseError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcomes = _parse(args.outcomes, svio.read_outcomes)
+    labels = _parse(args.labels, svio.read_labels)
     if len(outcomes) != len(labels):
-        print(
-            f"error: {len(outcomes)} outcomes vs {len(labels)} labels",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"{len(outcomes)} outcomes vs {len(labels)} labels")
     predicted = np.array([bool(o["reconstructed"]) for o in outcomes], dtype=bool)
     tp = int((predicted & labels).sum())
     fp = int((predicted & ~labels).sum())
@@ -399,12 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; every error it raises ends here as one line."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except (InputError, UsageError, ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, InputError) else 2
 
 
 if __name__ == "__main__":

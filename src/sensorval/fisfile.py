@@ -513,6 +513,13 @@ def _semantic_diagnostics(
                     warn(f"{where}: duplicate term name {tname!r}", mline)
                 seen.add(tname)
                 p = mf.params
+                want = _MF_PARAM_COUNT.get(mf.kind)
+                if want is None:
+                    err(f"{where} term {tname!r}: unknown membership function kind {mf.kind!r}", mline)
+                    continue
+                if len(p) != want:
+                    err(f"{where} term {tname!r}: {mf.kind} takes {want} parameters, got {len(p)}", mline)
+                    continue
                 if not all(math.isfinite(v) for v in p):
                     err(f"{where} term {tname!r}: parameters must be finite", mline)
                     continue

@@ -454,12 +454,15 @@ def control_surface(
     where no rule fired are recorded as NaN rather than aborting the
     surface. Returns an (n_i, n_j) matrix.
     """
+    n_in = len(system.inputs)
+    for axis in (axis_i, axis_j):
+        if not 0 <= axis < n_in:
+            raise ValueError(f"axis {axis} is not an input index (0 to {n_in - 1})")
     if axis_i == axis_j:
         raise ValueError("axis_i and axis_j must differ")
     ni, nj = grid
     if ni < 2 or nj < 2:
         raise ValueError("grid dimensions must be at least 2")
-    n_in = len(system.inputs)
     rest = [k for k in range(n_in) if k not in (axis_i, axis_j)]
     missing = [k for k in rest if k not in fixed]
     if missing:

@@ -186,7 +186,7 @@ def read_outcomes(text: str) -> list[dict]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad outcome record: {exc}", lineno)
-        if "reconstructed" not in obj:
+        if not isinstance(obj, dict) or "reconstructed" not in obj:
             raise ParseError("outcome record lacks 'reconstructed'", lineno)
         out.append(obj)
     return out

@@ -79,6 +79,32 @@ def test_validate_malformed_csv_exits_three_with_line(tmp_path):
     assert "line 2" in proc.stderr
 
 
+def test_jsonl_stream_validates_like_the_same_csv_stream(tmp_path):
+    csv = tmp_path / "burst.csv"
+    assert _simulate_burst(csv).returncode == 0
+    timestamps, sensor_ids, values = read_stream(csv.read_text())
+    jsonl = tmp_path / "burst.jsonl"
+    jsonl.write_text("".join(
+        json.dumps({"timestamp": t, "sensor_id": sid, "value": v}) + "\n"
+        for t, sid, v in zip(timestamps.tolist(), sensor_ids, values.tolist())
+    ))
+    runs = []
+    for stream in (csv, jsonl):
+        out, reports = tmp_path / (stream.name + ".jsonl"), tmp_path / (stream.name + ".json")
+        proc = run_cli("validate", str(stream), "-o", str(out), "--reports", str(reports))
+        runs.append((proc.returncode, proc.stderr, out.read_bytes(), reports.read_bytes()))
+    assert runs[0][0] == 1
+    assert runs[0] == runs[1]
+
+    lines = jsonl.read_text().splitlines(keepends=True)
+    lines[6] = '{"timestamp": 6.0, "value": }\n'
+    jsonl.write_text("".join(lines))
+    proc = run_cli("validate", str(jsonl))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: {jsonl}: line 7: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_validate_bad_flag_value_exits_two(tmp_path):
     stream = tmp_path / "s.csv"
     run_cli("simulate", "--n", "10", "-o", str(stream))
@@ -128,7 +154,13 @@ def test_validate_non_utf8_input_exits_three(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command", [["score", "{bad}", "--labels", "{labels}"], ["fis", "check", "{bad}"], ["fis", "canon", "{bad}"]]
+    "command",
+    [
+        ["score", "{bad}", "--labels", "{labels}"],
+        ["fis", "check", "{bad}"],
+        ["fis", "canon", "{bad}"],
+        ["fis", "surface", "{bad}"],
+    ],
 )
 def test_non_utf8_file_exits_three(tmp_path, command):
     bad = tmp_path / "bad.txt"
@@ -139,7 +171,31 @@ def test_non_utf8_file_exits_three(tmp_path, command):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
+    assert str(bad) in proc.stderr
     assert bad.read_bytes() == b"\xff\xfe\x00garbage\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "{stream}", "-o", "{dest}"],
+        ["validate", "{stream}", "--reports", "{dest}"],
+        ["simulate", "--n", "10", "-o", "{dest}"],
+        ["simulate", "--n", "10", "-o", "{stream}", "--labels", "{dest}"],
+        ["fis", "canon", "{golden}", "-o", "{dest}"],
+        ["fis", "surface", "{golden}", "-o", "{dest}"],
+    ],
+    ids=["validate-o", "validate-reports", "simulate-o", "simulate-labels", "fis-canon-o", "fis-surface-o"],
+)
+def test_unwritable_destination_exits_two(tmp_path, command):
+    stream = tmp_path / "s.csv"
+    assert run_cli("simulate", "--n", "10", "-o", str(stream)).returncode == 0
+    dest = tmp_path / "missing" / "out"
+    proc = run_cli(*(arg.format(stream=stream, golden=GOLDEN, dest=dest) for arg in command))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert str(dest) in proc.stderr
 
 
 @pytest.mark.parametrize("model_text", ["not json\n", '{"mean": [1, 2]}\n'])
@@ -366,9 +422,14 @@ def test_fis_surface_named_axes_and_fixed(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 5 * 7
 
 
-def test_fis_surface_bad_axes_exit_two():
-    proc = run_cli("fis", "surface", str(GOLDEN), "--axes", "distance,distance")
+@pytest.mark.parametrize(
+    "axes", ["distance,distance", "0,7", "-1,0"], ids=["same-axis", "past-the-end", "negative"]
+)
+def test_fis_surface_bad_axes_exit_two(axes):
+    proc = run_cli("fis", "surface", str(GOLDEN), f"--axes={axes}")
     assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 # score

@@ -215,17 +215,29 @@ def test_validate_fis_default_is_empty():
     assert validate_fis(default_system()) == []
 
 
-def test_validate_fis_flags_invariant_violations():
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("gaussian", (0.0, 0.0), "sigma"),
+        ("triangular", (0.0, 1.0), "triangular takes 3 parameters, got 2"),
+        ("sigmoid", (1.0, 0.0), "unknown membership function kind 'sigmoid'"),
+    ],
+    ids=["zero-sigma", "short-triangular", "unknown-kind"],
+)
+def test_validate_fis_flags_invariant_violations(kind, params, message):
     import dataclasses
 
-    from sensorval import MembershipFunction
+    from sensorval import MembershipFunction, PipelineConfig
+    from sensorval.pipeline import ConfigError
 
     base = default_system()
     var = base.inputs[0]
-    broken_terms = (("Near", MembershipFunction.gaussian(0.0, 0.0)),) + var.terms[1:]
+    broken_terms = (("Near", MembershipFunction(kind, params)),) + var.terms[1:]
     broken = dataclasses.replace(
         base, inputs=(dataclasses.replace(var, terms=broken_terms),) + base.inputs[1:]
     )
     diags = validate_fis(broken)
-    assert any(d.severity == "error" and "sigma" in d.message for d in diags)
+    assert any(d.severity == "error" and message in d.message for d in diags)
     assert all(d.line is None for d in diags)
+    with pytest.raises(ConfigError, match="fuzzy system is invalid"):
+        PipelineConfig(system=broken).validate()

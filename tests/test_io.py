@@ -1,12 +1,14 @@
-"""Outcome JSONL written from columns, against the row-by-row encoding."""
+"""Outcome JSONL written from columns, against the row-by-row encoding,
+and read back."""
 
 import io
 import json
 import math
 
 import numpy as np
+import pytest
 
-from sensorval.io import write_outcomes
+from sensorval.io import ParseError, read_outcomes, write_outcomes
 from sensorval.pipeline import FLAG_NAMES, BatchResult, ValidationOutcome, flags_from_bits
 
 
@@ -51,3 +53,9 @@ def test_columns_are_written_as_json_dumps_writes_each_outcome():
     write_outcomes(f, res)
     assert f.getvalue() == _dumps(res)
 
+
+
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', '{"raw": 1.0}'])
+def test_read_outcomes_refuses_a_record_that_is_not_an_outcome_object(line):
+    with pytest.raises(ParseError, match="line 2: outcome record lacks 'reconstructed'"):
+        read_outcomes('{"reconstructed": false}\n' + line + "\n")
