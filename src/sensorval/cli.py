@@ -9,22 +9,34 @@ Exit codes, the same for every subcommand: 0 success, 1 validation found
 faults (or a checked file has diagnostics), 2 usage or config error or a
 file that cannot be opened, read or written, 3 an input that is not UTF-8
 or does not parse.
+
+``validate`` streams: it opens its input and its destinations before it
+reads, then reads, judges and writes its input in pieces of whole lines,
+about ``_CHUNK_BYTES`` each, through one ``Validator``. So it holds one
+piece of the stream whatever its length, and outcomes reach ``-o`` while
+the input is still arriving.
+An input error at line N exits 3 after the outcomes of the pieces before
+it are written. The reports follow at the end of the input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields, replace
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from . import io as svio
 from .fisfile import ERROR, parse_fis, serialize_fis
 from .fuzzy import control_surface
-from .pipeline import ConfigError, PipelineConfig, run_batch
+# run_batch is not called here; it stays importable as cli.run_batch, the
+# name bench/tracing.py wraps
+from .pipeline import ConfigError, PipelineConfig, Validator, run_batch  # noqa: F401
 from .simulate import FAULT_KINDS, PROFILE_KINDS, FaultSpec, SignalProfile, generate, inject_all
 
 __all__ = ["main"]
@@ -33,6 +45,9 @@ __all__ = ["main"]
 # keys and --flags alike
 _NUMBER_KEYS = {f.name: type(f.default) for f in fields(PipelineConfig) if type(f.default) in (int, float)}
 _PATH_KEYS = ("fis", "spe_model")
+# bytes of input that validate reads, judges and writes at a time, then
+# up to the end of the line: about 50,000 readings of a CSV stream
+_CHUNK_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -62,6 +77,62 @@ def _parse(path: str, reader):
         return reader(_read_text(path))
     except svio.ParseError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _source(path: str):
+    """A binary source: stdin for ``-``, else the file, closed on exit."""
+    if path == "-":
+        yield sys.stdin.buffer
+    else:
+        with open(path, "rb") as f:
+            yield f
+
+
+def _decode(path: str, piece: bytes, start: int) -> str:
+    """A piece of ``path`` that starts at line ``start``, decoded as UTF-8."""
+    try:
+        return piece.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = start + piece.count(b"\n", 0, exc.start)
+        raise InputError(
+            f"{path}: line {line}: byte 0x{piece[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
+def _pieces(path: str, f: BinaryIO) -> Iterator[tuple]:
+    """The stream in ``f`` parsed in pieces of whole lines, each
+    ``_CHUNK_BYTES`` long and then to the end of its last line:
+    (timestamps, sensor_ids, values) of each piece, numbered and of the
+    format sniffed as in the whole file. Holds one piece at a time."""
+    start, fmt = 1, None
+    while piece := f.read(_CHUNK_BYTES):
+        if not piece.endswith(b"\n"):
+            piece += f.readline()
+        text = _decode(path, piece, start)
+        lines = piece.count(b"\n")
+        del piece
+        fmt = fmt or svio.stream_format(text)
+        try:
+            parsed = svio.read_stream(text, start, fmt)
+        except svio.ParseError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        del text
+        yield parsed
+        del parsed
+        start += lines
+
+
+def _distinct_files(*paths: str | None) -> None:
+    """validate writes while it reads, so its input and destinations
+    must be different files; ``-`` and devices are not checked."""
+    files = [
+        os.path.realpath(p)
+        for p in paths
+        if p and p != "-" and (os.path.isfile(p) or not os.path.exists(p))
+    ]
+    if len(set(files)) < len(files):
+        raise UsageError("the input, -o and --reports must be different files")
 
 
 @contextmanager
@@ -142,20 +213,27 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    timestamps, sensor_ids, values = _parse(args.input, svio.read_stream)
-    res = run_batch(cfg, timestamps, values, sensor_ids)
-    if args.output:
-        with _output(args.output) as f:
-            svio.write_outcomes(f, res)
-    if args.reports:
-        with _output(args.reports) as f:
-            svio.write_reports(f, res.reports)
-    print(
-        f"{len(values)} samples, {int(res.reconstructed.sum())} reconstructed, {len(res.reports)} reports",
-        file=sys.stderr,
-    )
-    return 1 if res.reports else 0
+    validator = Validator(_build_config(args))
+    _distinct_files(args.input, args.output, args.reports)
+    samples = reconstructed = 0
+    with ExitStack() as stack:
+        source = stack.enter_context(_source(args.input))
+        out, rep = (stack.enter_context(_output(p)) if p else None for p in (args.output, args.reports))
+        for timestamps, sensor_ids, values in _pieces(args.input, source):
+            res = validator.feed(timestamps, values, sensor_ids)
+            samples += len(values)
+            reconstructed += int(res.reconstructed.sum())
+            if out:
+                svio.write_outcomes(out, res)
+                out.flush()
+            # drop this piece before the next one is read, so that one
+            # piece at a time is held
+            del timestamps, sensor_ids, values, res
+        reports = validator.finalize()
+        if rep:
+            svio.write_reports(rep, reports)
+    print(f"{samples} samples, {reconstructed} reconstructed, {len(reports)} reports", file=sys.stderr)
+    return 1 if reports else 0
 
 
 def _parse_fault(spec: str) -> FaultSpec:

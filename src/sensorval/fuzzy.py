@@ -450,9 +450,9 @@ def control_surface(
 ) -> np.ndarray:
     """Crisp output over a uniform 2-D slice of the input space.
 
-    ``fixed`` maps each non-axis input index to its held value. Cells
-    where no rule fired are recorded as NaN rather than aborting the
-    surface. Returns an (n_i, n_j) matrix.
+    ``fixed`` maps each non-axis input index, and nothing else, to its
+    held value. Cells where no rule fired are recorded as NaN rather than
+    aborting the surface. Returns an (n_i, n_j) matrix.
     """
     n_in = len(system.inputs)
     for axis in (axis_i, axis_j):
@@ -467,6 +467,9 @@ def control_surface(
     missing = [k for k in rest if k not in fixed]
     if missing:
         raise ValueError(f"fixed is missing values for inputs {missing}")
+    stray = [k for k in fixed if k not in rest]
+    if stray:
+        raise ValueError(f"fixed holds values for {stray}, which are axes or not input indices")
     xi = system.inputs[axis_i].grid(ni)
     xj = system.inputs[axis_j].grid(nj)
     pts = np.zeros((ni * nj, n_in))

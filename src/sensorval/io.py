@@ -3,12 +3,16 @@
 Streams travel as CSV (``timestamp,sensor_id,value``) or JSONL with the
 same keys; outcomes as JSONL; fault reports as a JSON array; ground
 truth as a ``index,faulty`` sidecar CSV. Readers tolerate a header line
-and blank lines, and report 1-based line numbers on anything else.
+and blank lines, and report 1-based line numbers on anything else. A
+stream can also be read piece by piece: ``read_stream`` takes the line
+number a piece starts at and the format ``stream_format`` found at the
+start of the file.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -20,6 +24,7 @@ __all__ = [
     "read_labels",
     "read_outcomes",
     "read_stream",
+    "stream_format",
     "write_labels",
     "write_outcomes",
     "write_reports",
@@ -37,11 +42,11 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _parse_csv(lines: list[str]) -> tuple[list[float], list[str], list[float]]:
+def _parse_csv(lines: list[str], start: int) -> tuple[list[float], list[str], list[float]]:
     ts: list[float] = []
     sids: list[str] = []
     vals: list[float] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         if not line or line.isspace():
             continue
         parts = line.split(",")
@@ -62,11 +67,11 @@ def _parse_csv(lines: list[str]) -> tuple[list[float], list[str], list[float]]:
     return ts, sids, vals
 
 
-def _parse_jsonl(lines: list[str]) -> tuple[list[float], list[str], list[float]]:
+def _parse_jsonl(lines: list[str], start: int) -> tuple[list[float], list[str], list[float]]:
     ts: list[float] = []
     sids: list[str] = []
     vals: list[float] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         if not line or line.isspace():
             continue
         try:
@@ -82,18 +87,30 @@ def _parse_jsonl(lines: list[str]) -> tuple[list[float], list[str], list[float]]
     return ts, sids, vals
 
 
-def read_stream(text: str) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Parse a sample stream from CSV or JSONL text.
+_NON_BLANK = re.compile(r"\S")
 
-    Returns parallel (timestamps, sensor_ids, values). The format is
-    sniffed from the first non-blank character.
+
+def stream_format(text: str) -> str | None:
+    """``"jsonl"`` when the first non-blank character of a stream is
+    ``{``, else ``"csv"``; None when the text is blank."""
+    first = _NON_BLANK.search(text)
+    if first is None:
+        return None
+    return "jsonl" if first.group() == "{" else "csv"
+
+
+def read_stream(
+    text: str, start: int = 1, fmt: str | None = None
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Parse a sample stream, or a piece of one, from CSV or JSONL text.
+
+    Returns parallel (timestamps, sensor_ids, values). ``start`` is the
+    line number of the text's first line in its file: errors name lines
+    by it, and only line 1 may be a CSV header. ``fmt`` is the file's
+    ``stream_format``; None sniffs it from this text.
     """
-    lines = text.splitlines()
-    first = next((ln for ln in lines if ln.strip()), "")
-    if first.lstrip().startswith("{"):
-        ts, sids, vals = _parse_jsonl(lines)
-    else:
-        ts, sids, vals = _parse_csv(lines)
+    parse = _parse_jsonl if (fmt or stream_format(text)) == "jsonl" else _parse_csv
+    ts, sids, vals = parse(text.splitlines(), start)
     return np.array(ts, dtype=float), sids, np.array(vals, dtype=float)
 
 

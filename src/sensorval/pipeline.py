@@ -19,9 +19,13 @@ reading, the reanchor, accepting and rejecting. Two drivers feed it:
     again the rows whose features the rejection changed and goes on
 
 ``Validator`` routes each reading to its sensor and sets ``spe_trip``
-from PCA/SPE fusion. Its ``step`` is the live multi-sensor API;
-``run_batch`` judges a whole recorded stream, fused or not, through the
-block driver, and ``sensorval validate`` calls it.
+from PCA/SPE fusion. Its ``step`` is the live multi-sensor API. Its
+``feed`` judges the next piece of a recorded stream, fused or not,
+through the block driver, and keeps every piece of state between calls,
+so a stream cut into pieces gives what it gives whole: ``sensorval
+validate`` feeds its input piece by piece, in bounded memory.
+``run_batch`` judges a whole recorded stream as one ``feed`` and a
+``finalize``.
 
 Both drivers compute window statistics with a fresh Welford pass in the
 same order, and inference is row-wise, so they give the same outcomes
@@ -285,10 +289,10 @@ def _confidence_scale(system: FuzzySystem) -> tuple[float, float]:
 class SensorValidator:
     """One sensor's validation state, and every rule that changes it.
 
-    ``step`` is the row driver; ``_drive``, which ``run_batch`` calls,
-    drives the same state through ``_row`` and ``_block``. The tails hold
-    the last ``window - 1`` raw and validated readings; the window that
-    judges a reading is its tail plus the reading itself.
+    ``step`` is the row driver; ``_drive``, which ``Validator.feed``
+    calls, drives the same state through ``_row`` and ``_block``. The
+    tails hold the last ``window - 1`` raw and validated readings; the
+    window that judges a reading is its tail plus the reading itself.
     """
 
     def __init__(self, config: PipelineConfig, sensor_id: str = ""):
@@ -306,6 +310,7 @@ class SensorValidator:
         self.tail: list[float] = []       # validated history
         self.tracker = FaultTracker(sensor_id, config.fault_threshold, config.report_after)
         self.reports: list[FaultReport] = []
+        self._t_max = -math.inf   # newest timestamp _drive has seen
         self._finalized = False
 
     # the rules, which both drivers call
@@ -488,7 +493,7 @@ class SensorValidator:
             conf[i:k], bits[i:k] = self._judge(t[i:k], v[i:k], var, kept[i:k])
 
     def _drive(self, out: BatchResult) -> None:
-        """Judge this sensor's readings in ``out``, in order, into its
+        """Judge this sensor's next readings in ``out``, in order, into its
         outcome columns; the bits already in ``out.flagbits`` are the
         caller's, as ``step`` takes them. Rows that cannot start a block
         (warm-up, a validated tail shorter than ``window - 1``, a reanchor
@@ -499,9 +504,12 @@ class SensorValidator:
         t, v, bits = out.timestamps, out.raw, out.flagbits
         n = t.size
         # a reading is regressed when its timestamp precedes the newest one
-        # so far; a block must not span one, whose outcome depends on the
-        # state at its exact position
-        regressed = (np.flatnonzero(t[1:] < np.maximum.accumulate(t)[:-1]) + 1).tolist() + [n]
+        # so far, earlier calls included; a block must not span one, whose
+        # outcome depends on the state at its exact position. A NaN
+        # timestamp makes the maximum NaN, which ends the scan for good.
+        newest = np.maximum.accumulate(np.concatenate(([self._t_max], t)))
+        self._t_max = float(newest[-1])
+        regressed = np.flatnonzero(t < newest[:-1]).tolist() + [n]
         r = p = 0
         while p < n:
             at_regressed = p == regressed[r]
@@ -558,6 +566,55 @@ class Validator:
     def run(self, samples: Iterable[Sample]) -> list[ValidationOutcome]:
         return [self.step(s) for s in samples]
 
+    def feed(
+        self,
+        timestamps: np.ndarray,
+        values: np.ndarray,
+        sensor_ids: Sequence[str] | str = "",
+    ) -> BatchResult:
+        """Judge the next readings of a recorded stream, given as parallel
+        arrays in arrival order, after those of earlier calls.
+
+        ``sensor_ids`` names each reading's sensor, or is one ``str`` for
+        readings of a single sensor. The ``spe_trip`` bits come first, since
+        they change no sensor's state, then each sensor's readings, in order
+        of first appearance, through its ``SensorValidator._drive``.
+        Outcomes come back in arrival order; ``reports`` stays empty until
+        ``finalize``. Cutting a stream into any number of calls gives the
+        same outcomes and reports as one call, and they equal what ``step``
+        gives on the same readings with finite timestamps, bit for bit. A
+        stream goes through ``feed`` or through ``step``, not both. A single
+        sensor's readings are judged in place; several sensors' are
+        gathered per sensor and scattered back.
+        """
+        t = np.asarray(timestamps, dtype=float)
+        v = np.asarray(values, dtype=float)
+        n = t.size
+        if isinstance(sensor_ids, str):
+            sensors, sensor_ids = {sensor_ids: None}, [sensor_ids] * n
+        else:
+            sensors = dict.fromkeys(sensor_ids)
+        if t.shape != v.shape or t.ndim != 1 or len(sensor_ids) != n:
+            raise ValueError("timestamps, values and sensor_ids must be equal-length 1-D sequences")
+        bits = np.zeros(n, dtype=np.uint16)
+        if self.config.spe_model is not None:
+            for i, (s, x) in enumerate(zip(sensor_ids, v.tolist())):
+                bits[i] = self._spe_bits(s, x)
+        out = BatchResult(t, v, np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits, [], sensor_ids)
+
+        if len(sensors) == 1:
+            self._sensor(*sensors)._drive(out)
+        elif sensors:
+            code = {s: j for j, s in enumerate(sensors)}
+            codes = np.fromiter(map(code.__getitem__, sensor_ids), dtype=np.intp, count=n)
+            order = np.argsort(codes, kind="stable")
+            cols = (t[order], v[order], np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits[order])
+            ends = np.cumsum(np.bincount(codes)).tolist()
+            for sid, a, e in zip(sensors, [0] + ends, ends):
+                self._sensor(sid)._drive(BatchResult(*(c[a:e] for c in cols), [], ()))
+            out.confidence[order], out.accepted[order], out.reconstructed[order], out.flagbits[order] = cols[2:]
+        return out
+
     def finalize(self) -> list[FaultReport]:
         """Close all sensors; reports come back grouped by sensor."""
         reports: list[FaultReport] = []
@@ -568,7 +625,8 @@ class Validator:
 
 @dataclass
 class BatchResult:
-    """Columnar outcomes of ``run_batch``, one row per reading."""
+    """Columnar outcomes of ``Validator.feed`` and ``run_batch``, one row
+    per reading."""
 
     timestamps: np.ndarray
     raw: np.ndarray
@@ -595,7 +653,7 @@ class BatchResult:
         )
 
 
-# readings per run_batch block: a longer block infers more rows that a
+# readings per _drive block: a longer block infers more rows that a
 # reanchor stop throws away, a shorter one costs more per clean reading
 _BLOCK_ROWS = 4096
 
@@ -633,44 +691,9 @@ def run_batch(
     values: np.ndarray,
     sensor_ids: Sequence[str] | str = "",
 ) -> BatchResult:
-    """Validate a recorded stream, given as parallel arrays in arrival order.
-
-    ``sensor_ids`` names each reading's sensor, or is one ``str`` for a
-    stream of a single sensor. One ``Validator`` judges the stream: the
-    ``spe_trip`` bits first, since they change no sensor's state, then
-    each sensor's readings, in order of first appearance, through its
-    ``SensorValidator._drive``. Outcomes come back in arrival order, and
-    the reports are those of ``Validator.finalize``. They equal what
-    ``Validator.step`` gives on the same readings with finite timestamps,
-    bit for bit. A single sensor's readings are judged in place; several
-    sensors' are gathered per sensor and scattered back.
-    """
+    """Validate a whole recorded stream: one ``Validator.feed`` of all of
+    it, then its ``finalize``, whose reports the result holds."""
     validator = Validator(config)
-    t = np.asarray(timestamps, dtype=float)
-    v = np.asarray(values, dtype=float)
-    n = t.size
-    if isinstance(sensor_ids, str):
-        sensors, sensor_ids = {sensor_ids: None}, [sensor_ids] * n
-    else:
-        sensors = dict.fromkeys(sensor_ids)
-    if t.shape != v.shape or t.ndim != 1 or len(sensor_ids) != n:
-        raise ValueError("timestamps, values and sensor_ids must be equal-length 1-D sequences")
-    bits = np.zeros(n, dtype=np.uint16)
-    if config.spe_model is not None:
-        for i, (s, x) in enumerate(zip(sensor_ids, v.tolist())):
-            bits[i] = validator._spe_bits(s, x)
-    out = BatchResult(t, v, np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits, [], sensor_ids)
-
-    if len(sensors) == 1:
-        validator._sensor(*sensors)._drive(out)
-    elif sensors:
-        code = {s: j for j, s in enumerate(sensors)}
-        codes = np.fromiter(map(code.__getitem__, sensor_ids), dtype=np.intp, count=n)
-        order = np.argsort(codes, kind="stable")
-        cols = (t[order], v[order], np.zeros(n), np.empty(n), np.zeros(n, dtype=bool), bits[order])
-        ends = np.cumsum(np.bincount(codes)).tolist()
-        for sid, a, e in zip(sensors, [0] + ends, ends):
-            validator._sensor(sid)._drive(BatchResult(*(c[a:e] for c in cols), [], ()))
-        out.confidence[order], out.accepted[order], out.reconstructed[order], out.flagbits[order] = cols[2:]
-    out.reports = validator.finalize()
-    return out
+    res = validator.feed(timestamps, values, sensor_ids)
+    res.reports = validator.finalize()
+    return res

@@ -9,6 +9,7 @@ quality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -41,6 +42,10 @@ class SignalProfile:
     noise_std: float = 0.0
     sample_interval: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind == "sine" and not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"sine period must be finite and positive, got {self.period}")
 
     def base(self, t: np.ndarray) -> np.ndarray:
         """Noiseless signal value at each time in ``t``."""
@@ -163,5 +168,5 @@ def inject_all(
     for i, fault in enumerate(faults):
         out = inject(samples, fault, seed=seed + i)
         samples = out.samples
-        labels |= np.asarray(out.labels)
+        labels |= np.asarray(out.labels, dtype=bool)
     return LabeledStream(tuple(samples), tuple(bool(b) for b in labels))

@@ -3,15 +3,18 @@
 import json
 import shlex
 import subprocess
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sensorval
+from sensorval import cli
 from sensorval.detectors import load_pca_model, pca_fit, save_pca_model
 from sensorval.io import read_labels, read_outcomes, read_stream, write_stream
 from sensorval.pipeline import PipelineConfig, Sample, Validator
+from sensorval.simulate import FAULT_KINDS
 
 from cli_launcher import CLI, CLI_ENV
 
@@ -79,15 +82,19 @@ def test_validate_malformed_csv_exits_three_with_line(tmp_path):
     assert "line 2" in proc.stderr
 
 
-def test_jsonl_stream_validates_like_the_same_csv_stream(tmp_path):
-    csv = tmp_path / "burst.csv"
-    assert _simulate_burst(csv).returncode == 0
+def _as_jsonl(csv, jsonl):
     timestamps, sensor_ids, values = read_stream(csv.read_text())
-    jsonl = tmp_path / "burst.jsonl"
     jsonl.write_text("".join(
         json.dumps({"timestamp": t, "sensor_id": sid, "value": v}) + "\n"
         for t, sid, v in zip(timestamps.tolist(), sensor_ids, values.tolist())
     ))
+
+
+def test_jsonl_stream_validates_like_the_same_csv_stream(tmp_path):
+    csv = tmp_path / "burst.csv"
+    assert _simulate_burst(csv).returncode == 0
+    jsonl = tmp_path / "burst.jsonl"
+    _as_jsonl(csv, jsonl)
     runs = []
     for stream in (csv, jsonl):
         out, reports = tmp_path / (stream.name + ".jsonl"), tmp_path / (stream.name + ".json")
@@ -103,6 +110,130 @@ def test_jsonl_stream_validates_like_the_same_csv_stream(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith(f"error: {jsonl}: line 7: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+# validate streams: it reads, judges and writes about cli._CHUNK_BYTES of its
+# input at a time, cut at the end of a line
+
+
+def _validate_in_process(capsys, *argv):
+    code = cli.main(["validate", *map(str, argv)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_validate_in_pieces_writes_what_it_writes_whole(tmp_path, capsys, monkeypatch, fmt):
+    stream = tmp_path / "burst.csv"
+    assert _simulate_burst(stream).returncode == 0
+    if fmt == "jsonl":
+        _as_jsonl(stream, tmp_path / "burst.jsonl")
+        stream = tmp_path / "burst.jsonl"
+    # one piece, a few lines a piece, one line a piece
+    runs = []
+    for chunk in (cli._CHUNK_BYTES, 200, 7):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
+        out, reports = tmp_path / f"{chunk}.jsonl", tmp_path / f"{chunk}.json"
+        code, err = _validate_in_process(capsys, stream, "-o", out, "--reports", reports)
+        runs.append((code, err, out.read_bytes(), reports.read_bytes()))
+    assert runs[0][0] == 1
+    assert len(runs[0][2].splitlines()) == 400
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"20.0,sim,not-a-number", b"timestamp,sensor_id,value", b'{"timestamp": 20.0, "value": 1.0}', b"20.0,sim,\xff"],
+    ids=["non-numeric", "second-header", "jsonl-in-csv", "not-utf8"],
+)
+def test_validate_input_error_mid_stream_exits_three_after_earlier_pieces(tmp_path, capsys, monkeypatch, bad):
+    # only the file's first line may be a header, and the format is the
+    # one sniffed at the start of the file; every line is a piece here
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 7)
+    stream = tmp_path / "s.csv"
+    assert _simulate_burst(stream, n=40, burst="spike:10:1:50").returncode == 0
+    lines = stream.read_bytes().splitlines(keepends=True)
+    lines[19] = bad + b"\n"
+    stream.write_bytes(b"".join(lines))
+    out = tmp_path / "o.jsonl"
+    code, err = _validate_in_process(capsys, stream, "-o", out)
+    assert code == 3
+    assert err.startswith(f"error: {stream}: line 20: ")
+    assert len(err.splitlines()) == 1
+    # the outcomes of lines 2-19, the pieces before line 20's
+    assert [o["timestamp"] for o in read_outcomes(out.read_text())] == [float(i) for i in range(18)]
+
+
+def test_validate_stdin_outcomes_arrive_before_the_input_ends():
+    # every row is at least 13 bytes, so the input is more than one piece
+    n = cli._CHUNK_BYTES // 13 + 1000
+    rows = "timestamp,sensor_id,value\n" + "".join(f"{i}.0,s1,{200 + i % 7 / 10}\n" for i in range(n))
+    proc = subprocess.Popen(
+        [*CLI, "validate", "-", "-o", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+    )
+    answered = threading.Event()
+
+    def write_then_close():
+        # stdin stays open until the test has read the first outcomes
+        proc.stdin.write(rows.encode())
+        proc.stdin.flush()
+        answered.wait(60)
+        proc.stdin.close()
+
+    writer = threading.Thread(target=write_then_close, daemon=True)
+    # a validate that waits for the end of its input never answers: the
+    # kill ends the test's first read instead of hanging it
+    watchdog = threading.Timer(60, proc.kill)
+    writer.start()
+    watchdog.start()
+    try:
+        first = [proc.stdout.readline() for _ in range(3)]
+        assert not answered.is_set() and proc.poll() is None
+        answered.set()
+        rest = proc.stdout.read()
+        err = proc.stderr.read().decode()
+        code = proc.wait()
+        writer.join(60)
+        assert not writer.is_alive()
+    finally:
+        answered.set()
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+    assert [json.loads(line)["timestamp"] for line in first] == [0.0, 1.0, 2.0]
+    assert code == 0, err
+    assert len(rest.splitlines()) == n - 3
+    assert err.startswith(f"{n} samples, ")
+
+
+def test_validate_opens_its_destinations_before_reading(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,sensor_id,value\n0.0,s1,1.0\n1.0,s1,oops\n")
+    dest = tmp_path / "missing" / "out"
+    proc = run_cli("validate", str(bad), "-o", str(dest))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert str(dest) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "dests",
+    [["-o", "{stream}"], ["--reports", "{stream}"], ["-o", "{dest}", "--reports", "{dest}"]],
+    ids=["outcomes-over-input", "reports-over-input", "outcomes-and-reports"],
+)
+def test_validate_refuses_one_file_for_two_roles(tmp_path, dests):
+    # validate writes while it reads: -o over its input would empty the
+    # input before it is read
+    stream = tmp_path / "s.csv"
+    assert run_cli("simulate", "--n", "10", "-o", str(stream)).returncode == 0
+    before = stream.read_bytes()
+    proc = run_cli("validate", str(stream), *(a.format(stream=stream, dest=tmp_path / "o") for a in dests))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert stream.read_bytes() == before
 
 
 def test_validate_bad_flag_value_exits_two(tmp_path):
@@ -345,6 +476,25 @@ def test_simulate_bad_fault_spec_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_simulate_empty_stream_with_zero_length_fault(tmp_path, kind):
+    path = tmp_path / "e.csv"
+    proc = run_cli("simulate", "--n", "0", "--fault", f"{kind}:0:0:5", "-o", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_text() == "timestamp,sensor_id,value\n"
+    assert (tmp_path / "e.csv.labels.csv").read_text() == "index,faulty\n"
+
+
+@pytest.mark.parametrize("period", ["0", "-60", "nan", "inf"])
+def test_simulate_sine_period_must_be_finite_and_positive(tmp_path, period):
+    path = tmp_path / "s.csv"
+    proc = run_cli("simulate", "--n", "3", "--profile", "sine", "--amplitude", "1",
+                   f"--period={period}", "-o", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_simulate_fault_window_outside_stream_exits_two(tmp_path):
     proc = run_cli("simulate", "--n", "10", "--fault", "spike:8:5:1",
                    "-o", str(tmp_path / "x.csv"))
@@ -427,6 +577,14 @@ def test_fis_surface_named_axes_and_fixed(tmp_path):
 )
 def test_fis_surface_bad_axes_exit_two(axes):
     proc = run_cli("fis", "surface", str(GOLDEN), f"--axes={axes}")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fixed", ["7=1", "rate_of_change=5"], ids=["not-an-input", "an-axis"])
+def test_fis_surface_fixed_value_it_cannot_hold_exits_two(fixed):
+    proc = run_cli("fis", "surface", str(GOLDEN), "--axes", "1,2", "--grid", "4x4", f"--fixed={fixed}")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1

@@ -590,6 +590,79 @@ def test_run_batch_matches_validator_step_on_a_fused_fleet():
     assert any("spe_trip" in r.dominant_flags for r in res.reports if r.sensor_id == "a")
 
 
+def test_feeding_a_stream_in_pieces_equals_one_run_batch():
+    # one Validator fed the pieces of a stream, cut anywhere, ends where a
+    # single run_batch call does: 1-3 sensors, a and b fused by a PCA model
+    # when drawn, spikes, a level shift that forces reanchors, duplicate,
+    # regressed and NaN timestamps with cuts drawn next to them, and empty
+    # pieces
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rng = np.random.default_rng(29)
+    level = rng.normal(100.0, 10.0, 300)
+    model = pca_fit(
+        np.column_stack([level + rng.normal(0.0, 0.5, 300), 0.8 * level + rng.normal(0.0, 0.5, 300)]), 1
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    # a NaN timestamp ends the regression scan for the rest of a sensor's
+    # readings, also past a cut
+    @hypothesis.example(
+        seed=0, n=100, sensors=1, fused=False, window=5, warmup=2, reanchor_after=30,
+        anomalies=[(0.3, "nan"), (0.8, "regressed")], cuts=[0.5],
+    )
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 400),
+        sensors=st.integers(1, 3),
+        fused=st.booleans(),
+        window=st.integers(2, 8),
+        warmup=st.integers(0, 6),
+        reanchor_after=st.sampled_from([0, 4, 30]),
+        anomalies=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.sampled_from(["duplicate", "regressed", "nan"])), max_size=4
+        ),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def check(seed, n, sensors, fused, window, warmup, reanchor_after, anomalies, cuts):
+        fused = fused and sensors >= 2
+        cfg = PipelineConfig(
+            window=window, warmup=warmup, reanchor_after=reanchor_after, report_after=3,
+            spe_model=model if fused else None, spe_fusion=("a", "b") if fused else (),
+        )
+        r = np.random.default_rng(seed)
+        sids = r.choice(["a", "b", "c"][:sensors], size=n).tolist()
+        levels = {"a": 100.0, "b": 80.0, "c": 200.0}
+        v = np.array([levels[s] for s in sids]) + r.normal(0.0, 1.0, n)
+        v[r.random(n) < 0.05] += 60.0
+        v[int(n * r.random()):] += 70.0 * (r.random() < 0.5)
+        t = np.cumsum(r.uniform(0.1, 1.0, n))
+        at = []
+        for where, kind in anomalies:
+            k = int(where * (n - 1))
+            if k > 0:
+                t[k] = {"duplicate": t[k - 1], "regressed": t[k - 1] - 5.0, "nan": math.nan}[kind]
+                at += [k, k + 1]
+        bounds = sorted(at + [int(c * n) for c in cuts])
+
+        whole = run_batch(cfg, t, v, sids)
+        validator = Validator(cfg)
+        pieces = [
+            validator.feed(t[a:e], v[a:e], sids[a:e]) for a, e in zip([0] + bounds, bounds + [n])
+        ]
+        reports = validator.finalize()
+        for name in ("timestamps", "raw", "confidence", "accepted", "reconstructed", "flagbits"):
+            got = np.concatenate([getattr(p, name) for p in pieces])
+            assert np.array_equal(got, getattr(whole, name), equal_nan=name == "timestamps"), name
+        assert [s for p in pieces for s in p.sensor_ids] == list(whole.sensor_ids)
+        assert all(p.reports == [] for p in pieces)
+        # repr, exact for floats, so that a report ending on a NaN
+        # timestamp equals itself
+        assert repr(reports) == repr(whole.reports)
+
+    check()
+
+
 def test_finalize_is_idempotent():
     v = Validator(PipelineConfig())
     stream = inject(
