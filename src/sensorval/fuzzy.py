@@ -6,11 +6,14 @@ construction and inference is a pure function of (system, inputs). Each
 system compiles its rulebase into lookup tables on first use and keeps
 them, so inference on a few rows runs a fixed number of numpy calls
 whatever the number of terms and rules (sum aggregation keeps one
-addition per rule, in rulebase order). The tables are shared freely
-across threads.
+addition per rule, in rulebase order): 37 for one row of the default
+rulebase. The tables are never written after they are built, so they are
+shared freely across threads.
 
-A NaN input has membership 0 in a triangular or trapezoidal term and NaN
-in a gaussian one.
+Every membership, of an input term, an output term's grid or a
+``MembershipFunction`` called directly, comes from one formula
+(``_Terms``). A NaN input has membership 0 in a triangular or trapezoidal
+term and NaN in a gaussian one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,14 @@ AGGREGATION_METHODS = ("max", "sum")
 DEFUZZIFICATION_METHODS = ("centroid",)
 
 DEFAULT_RESOLUTION = 101
+
+# constants of the per-call arithmetic as 0-d arrays, which a ufunc takes
+# as they are; a Python float is converted on every call
+_ZERO, _ONE, _MINUS_HALF = np.array(0.0), np.array(1.0), np.array(-0.5)
+try:  # np.einsum's C core; np.einsum adds about 1 us of Python dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 
 @dataclass(frozen=True)
@@ -62,57 +73,71 @@ class MembershipFunction:
     def __call__(self, x):
         """Membership degree in [0, 1]; accepts a scalar or an ndarray."""
         scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-        xs = np.asarray(x, dtype=float)
-        y = _evaluate_mf(self.kind, self.params, np.atleast_1d(xs))
-        return float(y[0]) if scalar else y.reshape(xs.shape)
+        y = _memberships([self], np.asarray(x, dtype=float))[0]
+        return float(y) if scalar else y
 
 
-def _evaluate_mf(kind: str, params: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    if kind == "gaussian":
-        return _gaussian(x, *params)
-    if kind in ("triangular", "trapezoidal"):
-        return _linear(x.reshape(1, -1), *_linear_table([params]))[0].reshape(x.shape)
-    raise ValueError(f"unknown membership function kind: {kind!r}")
+class _Terms:
+    """Membership of a list of (input index, term) pairs, evaluated together.
 
-
-def _gaussian(x, sigma, center):
-    """Gaussian membership; broadcasts over ``x`` and the parameters."""
-    z = (x - center) / sigma
-    return np.exp(-0.5 * z * z)
-
-
-def _linear_table(params: Sequence[tuple[float, ...]]) -> tuple[np.ndarray, ...]:
-    """Broadcast tables for triangle and trapezoid terms, one row each.
-
-    A triangle (a, b, c) enters as the trapezoid (a, b, b, c). Returns
-    ``(edge, width, lo, hi, b, c)``. The first four are stacked as
-    (2, terms, 1), rising limb over falling limb: the rising limb is
-    (x - a) / (b - a) on the open interval (a, b), the falling limb
-    (x - d) / (c - d), which is exactly (d - x) / (d - c), on (c, d).
-    A vertical edge has an empty interval, so its width is never used
-    and is stored as 1 to keep the division from warning. ``b`` and
-    ``c`` bound the plateau, (terms, 1).
+    One ``take``, one subtraction and one division fill a table of
+    quotients, a row per gaussian term and two per triangle or trapezoid
+    (a triangle (a, b, c) is the trapezoid (a, b, b, c)): first every
+    gaussian's z = (x - center) / sigma, then every rising limb
+    (x - a) / (b - a), then every falling limb (x - d) / (c - d). A
+    gaussian's membership is exp(-0.5 * z * z). A trapezoid's is
+    min(rise, fall) clipped to [0, 1]: rounding is monotone, so that is
+    the limb on its open interval, 1 on [b, c] and 0 elsewhere. A
+    vertical limb (a == b or c == d) has width 1 or -1, so its quotient
+    is the signed distance into the term, and 1 + its sign is 0 outside
+    and at least 1 from the edge in. A NaN input is on no limb, so its
+    membership is 0 in a trapezoid, and NaN in a gaussian. Term j of
+    the result is term ``order[j]`` of the list.
     """
-    p = np.array(
-        [q if len(q) == 4 else (q[0], q[1], q[1], q[2]) for q in params], dtype=float
-    ).reshape(-1, 4)[:, :, None]
-    a, b, c, d = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    rise = np.where(b > a, b - a, 1.0)
-    fall = np.where(d > c, c - d, 1.0)
-    return np.stack([a, d]), np.stack([rise, fall]), np.stack([a, c]), np.stack([b, d]), b, c
+
+    def __init__(self, terms: Sequence[tuple[int, MembershipFunction]]):
+        for _, mf in terms:
+            if mf.kind not in MF_KINDS:
+                raise ValueError(f"unknown membership function kind: {mf.kind!r}")
+        gauss = [j for j, (_, mf) in enumerate(terms) if mf.kind == "gaussian"]
+        linear = [j for j, (_, mf) in enumerate(terms) if mf.kind != "gaussian"]
+        self.order, self.n_gauss = gauss + linear, len(gauss)
+        self.input = np.array([terms[j][0] for j in gauss + linear + linear], dtype=np.intp)
+        sigma, center = np.array([terms[j][1].params for j in gauss]).reshape(-1, 2).T
+        trapezoids = [terms[j][1].params for j in linear]
+        trapezoids = [q if len(q) == 4 else (q[0], q[1], q[1], q[2]) for q in trapezoids]
+        a, b, c, d = np.array(trapezoids).reshape(-1, 4).T
+        self.edge = np.concatenate([center, a, d])[:, None]
+        rise, fall = np.where(b > a, b - a, 1.0), np.where(d > c, c - d, -1.0)
+        self.width = np.concatenate([sigma, rise, fall])[:, None]
+        self.walls = len(gauss) + np.flatnonzero(np.concatenate([b <= a, d <= c]))
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Memberships (terms, N) of inputs ``x`` (inputs, N), into ``out``."""
+        z = x.take(self.input, axis=0)
+        z -= self.edge
+        z /= self.width
+        g, t = self.n_gauss, len(out)
+        if self.walls.size:
+            z[self.walls] = np.sign(z[self.walls]) + 1.0
+        gauss, lin, zg = out[:g], out[g:], z[:g]
+        np.multiply(zg, _MINUS_HALF, out=gauss)
+        gauss *= zg
+        np.exp(gauss, out=gauss)
+        np.fmin(z[g:t], z[t:], out=lin)
+        np.fmax(lin, _ZERO, out=lin)  # a NaN input is on no limb
+        np.fmin(lin, _ONE, out=lin)
+        # -0.0 (a falling limb's end, or an underflow) becomes 0.0: which
+        # of -0.0 and 0.0 fmax returns differs between its loops
+        lin += _ZERO
+        return out
 
 
-def _linear(x, edge, width, lo, hi, b, c):
-    """Trapezoid membership of ``x`` (terms, N) from ``_linear_table``.
-
-    Each limb holds on its open interval and the plateau [b, c] is 1;
-    later regions win where they meet. A NaN input lies in no region, so
-    its membership is 0 (a gaussian term gives NaN instead).
-    """
-    limb = (x - edge) / width
-    inside = (x > lo) & (x < hi)
-    y = np.where(inside[1], limb[1], np.where(inside[0], limb[0], 0.0))
-    return np.where((x >= b) & (x <= c), 1.0, y)
+def _memberships(mfs: Sequence[MembershipFunction], x: np.ndarray) -> np.ndarray:
+    """Membership of ``x`` in each of ``mfs``: (len(mfs), *x.shape)."""
+    terms = _Terms([(0, mf) for mf in mfs])
+    y = terms(x.reshape(1, -1), np.empty((len(mfs), x.size)))[np.argsort(terms.order)]
+    return y.reshape(len(mfs), *x.shape)
 
 
 @dataclass(frozen=True)
@@ -138,12 +163,7 @@ class LinguisticVariable:
         Scalar input yields a 1-D array (terms,); an (N,) array yields
         (terms, N).
         """
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        degs = np.stack(
-            [_evaluate_mf(mf.kind, mf.params, np.atleast_1d(xs)) for _, mf in self.terms]
-        )
-        return degs[:, 0] if scalar else degs
+        return _memberships([mf for _, mf in self.terms], np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -213,21 +233,23 @@ class _Compiled:
     """Tables that let a block of rows run a fixed number of numpy calls
     per implication tile, however many terms and rules there are.
 
-    Degrees: the input terms in one flat order, gaussian terms first and
-    triangles and trapezoids after them, each kind evaluated for all of
-    its terms in one broadcast expression. Below them sit their
-    complements 1 - degree, then a row of ones and a row of zeros.
+    Degrees: ``terms`` (a ``_Terms``) evaluates every input term in one
+    pass, gaussian terms first and triangles and trapezoids after them,
+    and last a term whose degree is always 0. Below them sit their
+    complements 1 - degree, so the last row is all 1.
 
-    Rules: AND rules first, OR rules after them. ``ante`` gathers each
-    rule's antecedent from the degree matrix, one row per input. A
-    negated entry points at the complement, and a don't-care entry at
-    the identity of the rule's connective (1 for AND, 0 for OR), so one
-    reduction per connective combines every rule.
+    Rules: AND rules first, OR rules after them, then one OR rule whose
+    strength is always 0. ``ante`` gathers each rule's antecedent from
+    the degree matrix, one row per input. A negated entry points at the
+    complement, and a don't-care entry at the identity of the rule's
+    connective (the row of 1 for AND, of 0 for OR), so one reduction per
+    connective combines every rule.
 
-    Consequents: per output, a (terms, rules, 1) mask of the rules that
-    conclude each term, and, for sum aggregation, the (rule, term) pairs
-    in rulebase order, because the order of the additions is part of the
-    rounding.
+    Consequents: per output, ``term_rules`` gathers each term's rules from
+    the strengths, after the rule of strength 0 (the max's initial value,
+    which also pads the rows to one length), so one max gives every term's
+    strength; for sum aggregation, the (rule, term) pairs in rulebase
+    order, because the order of the additions is part of the rounding.
     """
 
     def __init__(self, system: FuzzySystem):
@@ -237,26 +259,17 @@ class _Compiled:
         self.in_lo = np.array([v.lo for v in system.inputs])
         self.in_hi = np.array([v.hi for v in system.inputs])
 
-        terms = [
-            (i, k, mf) for i, v in enumerate(system.inputs) for k, (_, mf) in enumerate(v.terms)
-        ]
-        for _, _, mf in terms:
-            if mf.kind not in MF_KINDS:
-                raise ValueError(f"unknown membership function kind: {mf.kind!r}")
-        gauss = [t for t in terms if t[2].kind == "gaussian"]
-        linear = [t for t in terms if t[2].kind != "gaussian"]
-        row = {(i, k): r for r, (i, k, _) in enumerate(gauss + linear)}
-        self.n_terms, self.n_gauss = len(terms), len(gauss)
-        self.gauss_input = np.array([i for i, _, _ in gauss], dtype=np.intp)
-        sigma_center = np.array([mf.params for _, _, mf in gauss], dtype=float).reshape(-1, 2)
-        self.gauss_params = (sigma_center[:, :1], sigma_center[:, 1:])
-        self.linear_input = np.array([i for i, _, _ in linear], dtype=np.intp)
-        self.linear_table = _linear_table([mf.params for _, _, mf in linear])
-        self.identities = np.array([[1.0], [0.0]])
+        declared = [(i, k) for i, v in enumerate(system.inputs) for k in range(len(v.terms))]
+        # a trapezoid with NaN corners is on no limb, so its membership is 0
+        # whatever the input: it is the last term, and its complement is 1
+        never = MembershipFunction("trapezoidal", (np.nan,) * 4)
+        self.terms = _Terms([(i, system.inputs[i].terms[k][1]) for i, k in declared] + [(0, never)])
+        row = dict(zip([declared[j] for j in self.terms.order[:-1]], range(len(declared))))
+        self.n_terms = len(declared) + 1
 
         order = sorted(range(len(system.rules)), key=lambda r: system.rules[r].connective == "or")
         rules = [system.rules[r] for r in order]
-        ones, zeros = 2 * self.n_terms, 2 * self.n_terms + 1
+        zeros, ones = self.n_terms - 1, 2 * self.n_terms - 1
 
         def gather(rule: Rule, i: int, entry: int) -> int:
             if entry == 0:
@@ -264,56 +277,49 @@ class _Compiled:
             return row[i, abs(entry) - 1] + (self.n_terms if entry < 0 else 0)
 
         self.ante = np.array(
-            [[gather(rule, i, e) for i, e in enumerate(rule.antecedent)] for rule in rules],
+            [[gather(rule, i, e) for i, e in enumerate(rule.antecedent)] for rule in rules]
+            + [[zeros] * len(system.inputs)],
             dtype=np.intp,
-        ).reshape(len(rules), len(system.inputs))
+        ).reshape(len(rules) + 1, len(system.inputs))
         self.n_and = sum(rule.connective != "or" for rule in rules)
-        self.weights = np.array([rule.weight for rule in rules]).reshape(-1, 1)
+        self.weights = np.array([rule.weight for rule in rules] + [1.0]).reshape(-1, 1)
+        self.weights = None if np.all(self.weights == 1.0) else self.weights  # s * 1.0 is s
         self.and_op = np.minimum if system.and_method == "min" else np.multiply
 
         res = system.resolution
         # (terms, 1, res) membership of each output term on its grid
         self.term_grids = [
-            np.stack([_evaluate_mf(mf.kind, mf.params, v.grid(res)) for _, mf in v.terms])[:, None, :]
-            for v in system.outputs
+            _memberships([mf for _, mf in v.terms], v.grid(res))[:, None, :] for v in system.outputs
         ]
         # the centroid folds each grid about its midpoint c: grid point i
         # sits at c + h * u_i, with u_i = (2i - (res - 1)) / (res - 1) and
         # h the half-span, and u_(res-1-i) is exactly -u_i
-        self.resolution, self.half = res, res // 2
-        self.u = (2 * np.arange(self.half) - (res - 1)) / (res - 1)
-        self.midpoints = np.array([(v.lo + v.hi) / 2.0 for v in system.outputs])
-        self.half_spans = np.array([(v.hi - v.lo) / 2.0 for v in system.outputs])
-        cons = np.array([rule.consequent for rule in rules], dtype=np.intp)
-        cons = cons.reshape(len(rules), len(system.outputs))
-        self.cons_mask = [
-            (cons[:, o] == np.arange(1, len(v.terms) + 1)[:, None])[:, :, None]
-            for o, v in enumerate(system.outputs)
-        ]
+        half = res // 2
+        self.low, self.high = slice(0, half), slice(res - 1, res - 1 - half, -1)
+        self.u = (2 * np.arange(half) - (res - 1)) / (res - 1)
+        self.midpoints = [np.array((v.lo + v.hi) / 2.0) for v in system.outputs]
+        self.half_spans = [np.array((v.hi - v.lo) / 2.0) for v in system.outputs]
         at = {r: p for p, r in enumerate(order)}
-        self.sum_pairs = [
-            [
-                (at[r], rule.consequent[o] - 1)
-                for r, rule in enumerate(system.rules)
-                if rule.consequent[o]
-            ]
-            for o in range(len(system.outputs))
-        ]
+        self.term_rules, self.sum_pairs = [], []
+        for o, v in enumerate(system.outputs):
+            ps = [[p for p, rule in enumerate(rules) if rule.consequent[o] == k + 1] for k in range(len(v.terms))]
+            width = 1 + max(map(len, ps), default=0)
+            self.term_rules.append(np.array([[len(rules)] * (width - len(p)) + p for p in ps], dtype=np.intp))
+            cons = [(r, rule.consequent[o] - 1) for r, rule in enumerate(system.rules) if rule.consequent[o]]
+            self.sum_pairs.append([(at[r], t) for r, t in cons])
 
     def degrees(self, clamped: np.ndarray) -> np.ndarray:
-        """(2 * terms + 2, rows): term degrees, their complements, 1 and 0."""
-        x = clamped.T
-        t, g = self.n_terms, self.n_gauss
-        deg = np.empty((2 * t + 2, clamped.shape[0]))
-        deg[:g] = _gaussian(x.take(self.gauss_input, axis=0), *self.gauss_params)
-        deg[g:t] = _linear(x.take(self.linear_input, axis=0), *self.linear_table)
-        np.subtract(1.0, deg[:t], out=deg[t : 2 * t])
-        deg[2 * t :] = self.identities
+        """(2 * terms, rows): term degrees, then their complements."""
+        t = self.n_terms
+        deg = np.empty((2 * t, clamped.shape[0]))
+        self.terms(clamped.T, deg[:t])
+        np.subtract(_ONE, deg[:t], out=deg[t:])
         return deg
 
     def strengths(self, deg: np.ndarray) -> np.ndarray:
-        """Weighted firing strength of every rule, in table order: (R, rows)."""
-        picked = deg.take(self.ante, axis=0)  # (R, inputs, rows)
+        """Weighted firing strength of every rule, in table order, then a
+        0: (R + 1, rows)."""
+        picked = deg.take(self.ante, axis=0)  # (R + 1, inputs, rows)
         s = np.empty((len(picked), deg.shape[1]))
         a = self.n_and
         self.and_op.reduce(picked[:a], axis=1, out=s[:a])
@@ -324,7 +330,8 @@ class _Compiled:
             for i in range(1, picked.shape[1]):
                 d = picked[a:, i]
                 s[a:] += d - s[a:] * d
-        s *= self.weights
+        if self.weights is not None:
+            s *= self.weights
         return s
 
 
@@ -349,13 +356,16 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     flags ``no_rule_fired``.
 
     The work runs on tables compiled once per system (``_Compiled``):
-    membership degrees by one broadcast expression per kind of term, rule
-    strengths by one gather and one reduction per connective, and term
-    strengths by one masked max. Up to ``_TILE_ROWS`` rows therefore cost
-    a fixed handful of numpy calls, so a single row is cheap. Rows are
-    processed in blocks of ``_BLOCK_ROWS``, and the implication, whose
-    temporary holds every output term, in tiles of ``_TILE_ROWS``, so the
-    temporaries stay in cache.
+    every input term's membership from one table of quotients (a gather,
+    a subtraction and a division, then three calls for the gaussian terms
+    and four for the others), rule strengths by one gather and one
+    reduction per connective, and term strengths by one gather and one
+    max per output. Up to ``_TILE_ROWS`` rows therefore cost a fixed
+    number of numpy calls, 37 with the default rulebase, however many
+    terms and rules there are. Rows are processed in blocks of
+    ``_BLOCK_ROWS``, and the implication, whose temporary holds every
+    output term, in tiles of ``_TILE_ROWS``, so the temporaries stay in
+    cache.
 
     Every step is row-wise, the centroid included, so a row's outputs do
     not depend on the rows it is inferred with. Grid point i of an output
@@ -365,14 +375,16 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     about the midpoint c gives exactly c.
     """
     comp = system._compiled
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:
+        pts = pts.reshape(1, -1)
     if pts.shape[1] != len(system.inputs):
         raise ValueError(
             f"expected {len(system.inputs)} inputs per point, got {pts.shape[1]}"
         )
     # np.clip's result to the bit, sign of zero included, in fewer calls
     clamped = np.minimum(comp.in_hi, np.maximum(comp.in_lo, pts))
-    out_of_range = (clamped != pts).any(axis=1)
+    out_of_range = np.logical_or.reduce(clamped != pts, 1)
 
     n = pts.shape[0]
     values = np.empty((n, len(system.outputs)))
@@ -380,7 +392,7 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     for b in range(0, n, _BLOCK_ROWS):
         rows = slice(b, b + _BLOCK_ROWS)
         _infer_block(comp, clamped[rows], values[rows], no_rule[rows])
-    return BatchInference(values=values, no_rule_fired=no_rule, out_of_range=out_of_range)
+    return BatchInference(values, no_rule, out_of_range)
 
 
 def _infer_block(
@@ -395,23 +407,19 @@ def _infer_block(
     """
     n = clamped.shape[0]
     strengths = comp.strengths(comp.degrees(clamped))
-    agg_buf = np.empty((min(n, _TILE_ROWS), comp.resolution))
-    fold_buf = np.empty((len(agg_buf), comp.half))
-    num, area = np.empty(n), np.empty(n)
     for o, tgrids in enumerate(comp.term_grids):
         if comp.aggregation == "max":
             # max_r impl(s_r, g) == impl(max_r s_r, g) for min and prod, so
             # the rules collapse into one strength per term first
-            s = np.where(comp.cons_mask[o], strengths, 0.0).max(axis=1, initial=0.0)[:, :, None]
+            term_strength = np.maximum.reduce(strengths.take(comp.term_rules[o], axis=0), axis=1)
         for r in range(0, n, _TILE_ROWS):
             rows = slice(r, r + _TILE_ROWS)
-            agg, fold = agg_buf[: min(_TILE_ROWS, n - r)], fold_buf[: min(_TILE_ROWS, n - r)]
+            tile_dead = no_rule[rows]
             if comp.aggregation == "max":
-                tile = s[:, rows]
-                impl = tile * tgrids if comp.implication == "prod" else np.minimum(tile, tgrids)
-                impl.max(axis=0, out=agg)
+                s = term_strength[:, rows, None]
+                agg = np.maximum.reduce(s * tgrids if comp.implication == "prod" else np.minimum(s, tgrids))
             else:  # sum in rulebase order, clipped at 1
-                agg[:] = 0.0
+                agg = np.zeros((len(tile_dead), tgrids.shape[2]))
                 for q, t in comp.sum_pairs[o]:
                     if comp.implication == "min":
                         agg += np.minimum(strengths[q, rows, None], tgrids[t])
@@ -420,14 +428,13 @@ def _infer_block(
                 np.clip(agg, 0.0, 1.0, out=agg)
             # sum_i u_i (agg_i - agg_(res-1-i)) over the first half; one
             # einsum pass is cheaper than an in-place product and a sum
-            np.subtract(agg[:, : comp.half], agg[:, ::-1][:, : comp.half], out=fold)
-            np.einsum("ij,j->i", fold, comp.u, out=num[rows])
-            agg.sum(axis=1, out=area[rows])
-        dead = area == 0.0
-        no_rule |= dead
-        # a dead row's aggregate is all zero, so its numerator is 0 and its
-        # centroid the midpoint
-        values[:, o] = comp.midpoints[o] + comp.half_spans[o] * num / (area + dead)
+            num = _einsum("ij,j->i", agg[:, comp.low] - agg[:, comp.high], comp.u)
+            area = np.add.reduce(agg, axis=1)
+            dead = area == _ZERO
+            tile_dead |= dead
+            # a dead row's aggregate is all zero, so its numerator is 0 and
+            # its centroid the midpoint
+            values[rows, o] = comp.midpoints[o] + comp.half_spans[o] * num / (area + dead)
 
 
 def infer(system: FuzzySystem, values: Sequence[float]) -> InferenceResult:

@@ -2,8 +2,9 @@
 
 Streams travel as CSV (``timestamp,sensor_id,value``) or JSONL with the
 same keys; outcomes as JSONL; fault reports as a JSON array; ground
-truth as a ``index,faulty`` sidecar CSV. Readers tolerate a header line
-and blank lines, and report 1-based line numbers on anything else. A
+truth as a ``index,faulty`` sidecar CSV. Readers split lines at ``\n``
+alone (a ``\r`` before it is whitespace), tolerate a header line and
+blank lines, and report 1-based line numbers on anything else. A
 stream can also be read piece by piece: ``read_stream`` takes the line
 number a piece starts at and the format ``stream_format`` found at the
 start of the file.
@@ -12,6 +13,7 @@ start of the file.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import IO, Iterable, Sequence
 
@@ -110,7 +112,7 @@ def read_stream(
     ``stream_format``; None sniffs it from this text.
     """
     parse = _parse_jsonl if (fmt or stream_format(text)) == "jsonl" else _parse_csv
-    ts, sids, vals = parse(text.splitlines(), start)
+    ts, sids, vals = parse(text.split("\n"), start)
     return np.array(ts, dtype=float), sids, np.array(vals, dtype=float)
 
 
@@ -129,7 +131,7 @@ def write_labels(f: IO[str], labels: Sequence[bool]) -> None:
 def read_labels(text: str) -> np.ndarray:
     out: list[bool] = []
     expected = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line or line.isspace():
             continue
         parts = line.split(",")
@@ -196,7 +198,7 @@ def write_outcomes(f: IO[str], res: BatchResult) -> None:
 
 def read_outcomes(text: str) -> list[dict]:
     out: list[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line or line.isspace():
             continue
         try:
@@ -210,5 +212,12 @@ def read_outcomes(text: str) -> list[dict]:
 
 
 def write_reports(f: IO[str], reports: Sequence[FaultReport]) -> None:
-    json.dump([r.to_dict() for r in reports], f, indent=2)
+    """Write ``reports`` as one strict JSON array; a non-finite number, such
+    as the end of an episode whose last reading has a NaN timestamp, is
+    written as null."""
+    dicts = [
+        {k: None if isinstance(x, float) and not math.isfinite(x) else x for k, x in r.to_dict().items()}
+        for r in reports
+    ]
+    json.dump(dicts, f, indent=2, allow_nan=False)
     f.write("\n")

@@ -131,7 +131,7 @@ def mamdani_reference(system, inputs, factor: int = 100):
     return values, dead
 
 
-def _loop_mf(kind: str, params, x: np.ndarray) -> np.ndarray:
+def loop_mf(kind: str, params, x: np.ndarray) -> np.ndarray:
     """Membership by boolean masks, one term at a time."""
     if kind == "gaussian":
         sigma, center = params
@@ -193,7 +193,7 @@ def _loop_strengths(system, degrees) -> np.ndarray:
 
 def _loop_block(system, clamped: np.ndarray, values: np.ndarray, no_rule: np.ndarray) -> None:
     degrees = [
-        np.stack([_loop_mf(mf.kind, mf.params, clamped[:, i]) for _, mf in var.terms])
+        np.stack([loop_mf(mf.kind, mf.params, clamped[:, i]) for _, mf in var.terms])
         for i, var in enumerate(system.inputs)
     ]
     strengths = _loop_strengths(system, degrees)
@@ -201,7 +201,7 @@ def _loop_block(system, clamped: np.ndarray, values: np.ndarray, no_rule: np.nda
     n = clamped.shape[0]
     for o, var in enumerate(system.outputs):
         grid = np.linspace(var.lo, var.hi, system.resolution)
-        tgrids = np.stack([_loop_mf(mf.kind, mf.params, grid) for _, mf in var.terms])
+        tgrids = np.stack([loop_mf(mf.kind, mf.params, grid) for _, mf in var.terms])
         agg = np.zeros((n, grid.size))
         if system.aggregation == "max":
             for t in range(tgrids.shape[0]):

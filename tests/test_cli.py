@@ -164,6 +164,86 @@ def test_validate_input_error_mid_stream_exits_three_after_earlier_pieces(tmp_pa
     assert [o["timestamp"] for o in read_outcomes(out.read_text())] == [float(i) for i in range(18)]
 
 
+# lines end at "\n" alone: a "\r" before it is whitespace, and no other
+# line break (\f, \v, U+2028, ...) ends a line
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["one-piece", "one-line-pieces"])
+def test_validate_error_line_counts_newlines_alone(tmp_path, capsys, monkeypatch, whole):
+    if not whole:
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 7)
+    stream = tmp_path / "s.csv"
+    assert _simulate_burst(stream, n=40, burst="spike:10:1:50").returncode == 0
+    lines = stream.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"\n", b"\f\n")
+    lines[19] = b"20.0,sim,not-a-number\n"
+    stream.write_bytes(b"".join(lines))
+    code, err = _validate_in_process(capsys, stream, "-o", tmp_path / "o.jsonl")
+    assert code == 3
+    assert err.startswith(f"error: {stream}: line 20: ")
+
+
+def test_validate_jsonl_sensor_id_may_hold_a_line_separator(tmp_path, capsys):
+    # U+2028 is valid raw inside a JSON string
+    stream = tmp_path / "s.jsonl"
+    sids = ["a\u2028b" if i == 3 else "a" for i in range(10)]
+    stream.write_text(
+        "".join(
+            json.dumps({"timestamp": float(i), "sensor_id": sid, "value": 200.0}, ensure_ascii=False) + "\n"
+            for i, sid in enumerate(sids)
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.jsonl"
+    code, err = _validate_in_process(capsys, stream, "-o", out)
+    assert code == 0, err
+    assert [o["sensor_id"] for o in read_outcomes(out.read_text(encoding="utf-8"))] == sids
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_validate_crlf_stream_writes_what_its_lf_twin_writes(tmp_path, capsys, fmt):
+    stream = tmp_path / "burst.csv"
+    assert _simulate_burst(stream).returncode == 0
+    if fmt == "jsonl":
+        _as_jsonl(stream, tmp_path / "burst.jsonl")
+        stream = tmp_path / "burst.jsonl"
+    crlf = tmp_path / f"crlf.{fmt}"
+    crlf.write_bytes(stream.read_bytes().replace(b"\n", b"\r\n"))
+    runs = []
+    for src in (stream, crlf):
+        out, reports = tmp_path / f"{src.name}.out", tmp_path / f"{src.name}.reports"
+        code, err = _validate_in_process(capsys, src, "-o", out, "--reports", reports)
+        runs.append((code, err, out.read_bytes(), reports.read_bytes()))
+    assert runs[0][0] == 1
+    assert runs[1] == runs[0]
+
+
+def test_validate_lone_carriage_returns_are_one_line(tmp_path, capsys):
+    stream = tmp_path / "s.csv"
+    stream.write_bytes(b"timestamp,sensor_id,value\r0.0,s,200.0\r1.0,s,200.1\r")
+    code, err = _validate_in_process(capsys, stream)
+    assert code == 3
+    assert err.startswith(f"error: {stream}: line 1: ")
+
+
+def test_validate_reports_are_strict_json_with_null_for_non_finite(tmp_path, capsys):
+    # the episode's last reading has a NaN timestamp, so its end is NaN
+    stream = tmp_path / "s.csv"
+    values = [200, 200.5, 199.8, 200.2, 260, 261, 262, 263]
+    stream.write_text("".join(f"{t},s,{v}\n" for t, v in zip([*range(7), "nan"], values)))
+    code = cli.main(
+        ["validate", str(stream), "--window", "2", "--warmup", "0", "--report-after", "3", "--reports", "-"]
+    )
+    assert code == 1
+
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in the reports")
+
+    (report,) = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["start"] == 4.0
+    assert report["end"] is None
+
+
 def test_validate_stdin_outcomes_arrive_before_the_input_ends():
     # every row is at least 13 bytes, so the input is more than one piece
     n = cli._CHUNK_BYTES // 13 + 1000

@@ -21,6 +21,7 @@ from sensorval.fuzzy import DEFAULT_RESOLUTION
 
 from oracles import (
     loop_infer_batch,
+    loop_mf,
     mamdani_reference,
     mf_scalar,
     random_system,
@@ -400,6 +401,36 @@ def _hostile_points(system, n, rng):
 _METHODS = list(
     itertools.product(("min", "prod"), ("max", "probor"), ("min", "prod"), ("max", "sum"))
 )
+
+
+@pytest.mark.parametrize("case", ["default", "edge-cases-1", "edge-cases-2", "edge-cases-3"])
+def test_degrees_equal_the_per_term_reference_bit_for_bit(case):
+    # np.array_equal takes -0.0 for 0.0, so the sign bits are compared
+    # too; the points are every term's corners, their neighbours on either
+    # side, the range bounds and NaN
+    rng = np.random.default_rng(list(map(ord, case)))
+    system = default_system() if case == "default" else _with_edge_cases(random_system(rng), rng)
+    terms = [(i, mf) for i, v in enumerate(system.inputs) for _, mf in v.terms]
+    # the degree rows hold the gaussian terms first, then the others, each
+    # in declaration order
+    rows = sorted(range(len(terms)), key=lambda j: terms[j][1].kind != "gaussian")
+    for i, var in enumerate(system.inputs):
+        corners = np.array([var.lo, var.hi] + [p for _, mf in var.terms for p in mf.params])
+        xs = np.concatenate(
+            [corners, np.nextafter(corners, -np.inf), np.nextafter(corners, np.inf), [np.nan]]
+        )
+        pts = np.tile([(v.lo + v.hi) / 2.0 for v in system.inputs], (len(xs), 1))
+        pts[:, i] = xs
+        # all points in one call, and each alone: numpy's loops for short
+        # and long arrays may differ
+        block = system._compiled.degrees(pts)
+        alone = np.hstack([system._compiled.degrees(pts[k : k + 1]) for k in range(len(pts))])
+        for deg in (block, alone):
+            for r, j in enumerate(rows):
+                if terms[j][0] == i:
+                    want = loop_mf(terms[j][1].kind, terms[j][1].params, xs)
+                    assert np.array_equal(deg[r], want, equal_nan=True), (i, j)
+                    assert np.array_equal(np.signbit(deg[r]), np.signbit(want)), (i, j)
 
 
 @pytest.mark.parametrize("case", ["default"] + ["-".join(m) for m in _METHODS])
