@@ -6,7 +6,7 @@ construction and inference is a pure function of (system, inputs). Each
 system compiles its rulebase into lookup tables on first use and keeps
 them, so inference on a few rows runs a fixed number of numpy calls
 whatever the number of terms and rules (sum aggregation keeps one
-addition per rule, in rulebase order): 37 for one row of the default
+addition per rule, in rulebase order): 38 for one row of the default
 rulebase. The tables are never written after they are built, so they are
 shared freely across threads.
 
@@ -36,10 +36,6 @@ DEFAULT_RESOLUTION = 101
 # constants of the per-call arithmetic as 0-d arrays, which a ufunc takes
 # as they are; a Python float is converted on every call
 _ZERO, _ONE, _MINUS_HALF = np.array(0.0), np.array(1.0), np.array(-0.5)
-try:  # np.einsum's C core; np.einsum adds about 1 us of Python dispatch
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:
-    _einsum = np.einsum
 
 
 @dataclass(frozen=True)
@@ -283,7 +279,6 @@ class _Compiled:
         ).reshape(len(rules) + 1, len(system.inputs))
         self.n_and = sum(rule.connective != "or" for rule in rules)
         self.weights = np.array([rule.weight for rule in rules] + [1.0]).reshape(-1, 1)
-        self.weights = None if np.all(self.weights == 1.0) else self.weights  # s * 1.0 is s
         self.and_op = np.minimum if system.and_method == "min" else np.multiply
 
         res = system.resolution
@@ -330,8 +325,7 @@ class _Compiled:
             for i in range(1, picked.shape[1]):
                 d = picked[a:, i]
                 s[a:] += d - s[a:] * d
-        if self.weights is not None:
-            s *= self.weights
+        s *= self.weights
         return s
 
 
@@ -361,7 +355,7 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     and four for the others), rule strengths by one gather and one
     reduction per connective, and term strengths by one gather and one
     max per output. Up to ``_TILE_ROWS`` rows therefore cost a fixed
-    number of numpy calls, 37 with the default rulebase, however many
+    number of numpy calls, 38 with the default rulebase, however many
     terms and rules there are. Rows are processed in blocks of
     ``_BLOCK_ROWS``, and the implication, whose temporary holds every
     output term, in tiles of ``_TILE_ROWS``, so the temporaries stay in
@@ -375,16 +369,14 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     about the midpoint c gives exactly c.
     """
     comp = system._compiled
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2:
-        pts = pts.reshape(1, -1)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != len(system.inputs):
         raise ValueError(
             f"expected {len(system.inputs)} inputs per point, got {pts.shape[1]}"
         )
     # np.clip's result to the bit, sign of zero included, in fewer calls
     clamped = np.minimum(comp.in_hi, np.maximum(comp.in_lo, pts))
-    out_of_range = np.logical_or.reduce(clamped != pts, 1)
+    out_of_range = (clamped != pts).any(axis=1)
 
     n = pts.shape[0]
     values = np.empty((n, len(system.outputs)))
@@ -392,7 +384,7 @@ def infer_batch(system: FuzzySystem, points: np.ndarray) -> BatchInference:
     for b in range(0, n, _BLOCK_ROWS):
         rows = slice(b, b + _BLOCK_ROWS)
         _infer_block(comp, clamped[rows], values[rows], no_rule[rows])
-    return BatchInference(values, no_rule, out_of_range)
+    return BatchInference(values=values, no_rule_fired=no_rule, out_of_range=out_of_range)
 
 
 def _infer_block(
@@ -411,13 +403,13 @@ def _infer_block(
         if comp.aggregation == "max":
             # max_r impl(s_r, g) == impl(max_r s_r, g) for min and prod, so
             # the rules collapse into one strength per term first
-            term_strength = np.maximum.reduce(strengths.take(comp.term_rules[o], axis=0), axis=1)
+            term_strength = strengths.take(comp.term_rules[o], axis=0).max(axis=1)
         for r in range(0, n, _TILE_ROWS):
             rows = slice(r, r + _TILE_ROWS)
             tile_dead = no_rule[rows]
             if comp.aggregation == "max":
                 s = term_strength[:, rows, None]
-                agg = np.maximum.reduce(s * tgrids if comp.implication == "prod" else np.minimum(s, tgrids))
+                agg = (s * tgrids if comp.implication == "prod" else np.minimum(s, tgrids)).max(axis=0)
             else:  # sum in rulebase order, clipped at 1
                 agg = np.zeros((len(tile_dead), tgrids.shape[2]))
                 for q, t in comp.sum_pairs[o]:
@@ -428,8 +420,8 @@ def _infer_block(
                 np.clip(agg, 0.0, 1.0, out=agg)
             # sum_i u_i (agg_i - agg_(res-1-i)) over the first half; one
             # einsum pass is cheaper than an in-place product and a sum
-            num = _einsum("ij,j->i", agg[:, comp.low] - agg[:, comp.high], comp.u)
-            area = np.add.reduce(agg, axis=1)
+            num = np.einsum("ij,j->i", agg[:, comp.low] - agg[:, comp.high], comp.u)
+            area = agg.sum(axis=1)
             dead = area == _ZERO
             tile_dead |= dead
             # a dead row's aggregate is all zero, so its numerator is 0 and
