@@ -206,6 +206,7 @@ def save_pca_model(model: PcaModel, path) -> None:
 
 
 def load_pca_model(path) -> PcaModel:
+    """A model written by ``save_pca_model``; an inconsistent or non-finite one raises."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     model = PcaModel(
@@ -215,6 +216,8 @@ def load_pca_model(path) -> PcaModel:
     )
     if model.components.ndim != 2 or model.mean.shape != (model.dim,):
         raise DimensionMismatchError("inconsistent model file")
+    if not all(np.isfinite(a).all() for a in (model.mean, model.components, model.spe_threshold)):
+        raise ValueError("mean, components and spe_threshold must be finite")
     if "k" in doc and int(doc["k"]) != model.k:
         raise DimensionMismatchError("model file k does not match components")
     return model

@@ -132,7 +132,8 @@ class _Terms:
 def _memberships(mfs: Sequence[MembershipFunction], x: np.ndarray) -> np.ndarray:
     """Membership of ``x`` in each of ``mfs``: (len(mfs), *x.shape)."""
     terms = _Terms([(0, mf) for mf in mfs])
-    y = terms(x.reshape(1, -1), np.empty((len(mfs), x.size)))[np.argsort(terms.order)]
+    with np.errstate(over="ignore"):  # past ~1e154 sigmas -0.5*z*z is -inf; its exp, 0, is right
+        y = terms(x.reshape(1, -1), np.empty((len(mfs), x.size)))[np.argsort(terms.order)]
     return y.reshape(len(mfs), *x.shape)
 
 

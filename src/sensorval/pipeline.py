@@ -41,6 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .defaults import default_system
 from .detectors import PcaModel, _window_var, spe
 from .fuzzy import FuzzySystem, infer_batch
 
@@ -70,7 +71,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable pipeline behavior; defaults follow the shipped rulebase."""
+    """Tunable pipeline behavior; defaults follow the shipped rulebase.
+
+    A config that exists is valid: construction, ``dataclasses.replace``
+    included, raises ConfigError on any unusable setting. ``system=None``
+    builds the shipped rulebase, ``default_system()``.
+    """
 
     system: FuzzySystem | None = None
     accept_threshold: float = 0.5
@@ -90,12 +96,10 @@ class PipelineConfig:
     spe_model: PcaModel | None = None
     spe_fusion: tuple[str, ...] = ()
 
-    def resolved_system(self) -> FuzzySystem:
-        if self.system is not None:
-            return self.system
-        from .defaults import default_system
-
-        return default_system()
+    def __post_init__(self):
+        if self.system is None:
+            object.__setattr__(self, "system", default_system())
+        self.validate()
 
     def validate(self) -> None:
         """Raise ConfigError on any unusable setting."""
@@ -129,17 +133,16 @@ class PipelineConfig:
                 f"spe_fusion names {len(self.spe_fusion)} sensors but the model "
                 f"expects {self.spe_model.dim}"
             )
-        system = self.resolved_system()
         from .fisfile import validate_fis
 
-        problems = [d for d in validate_fis(system) if d.severity == "error"]
+        problems = [d for d in validate_fis(self.system) if d.severity == "error"]
         if problems:
             raise ConfigError(f"fuzzy system is invalid: {problems[0].message}")
-        if len(system.inputs) != 3:
+        if len(self.system.inputs) != 3:
             raise ConfigError(
                 "confidence system must take exactly 3 inputs "
                 "(value, rate of change, window std), got "
-                f"{len(system.inputs)}"
+                f"{len(self.system.inputs)}"
             )
 
 
@@ -293,13 +296,13 @@ class SensorValidator:
     calls, drives the same state through ``_row`` and ``_block``. The
     tails hold the last ``window - 1`` raw and validated readings; the
     window that judges a reading is its tail plus the reading itself.
+    ``system`` is ``config.system``, shared by every sensor of the config.
     """
 
     def __init__(self, config: PipelineConfig, sensor_id: str = ""):
-        config.validate()
         self.config = config
         self.sensor_id = sensor_id
-        self.system = config.resolved_system()
+        self.system = config.system
         self._conf_lo, self._conf_span = _confidence_scale(self.system)
         self.est: float | None = None
         self.prev_t: float | None = None
@@ -532,10 +535,10 @@ class SensorValidator:
 
 
 class Validator:
-    """Multi-sensor dispatcher with optional PCA/SPE fusion."""
+    """Multi-sensor dispatcher with optional PCA/SPE fusion. Its sensors
+    share one config, one ``FuzzySystem`` and its compiled tables."""
 
     def __init__(self, config: PipelineConfig):
-        config.validate()
         self.config = config
         self.sensors: dict[str, SensorValidator] = {}
         self._latest: dict[str, float] = {}

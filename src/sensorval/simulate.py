@@ -86,7 +86,7 @@ class FaultSpec:
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind: {self.kind!r}")
+            raise ValueError(f"unknown fault kind {self.kind!r} (choose from {', '.join(FAULT_KINDS)})")
         if self.duration < 0:
             raise ValueError(f"duration must be non-negative, got {self.duration}")
 

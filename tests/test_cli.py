@@ -383,7 +383,21 @@ def test_non_utf8_file_exits_three(tmp_path, command):
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
     assert str(bad) in proc.stderr
+    assert "line 1: byte 0xff is not UTF-8" in proc.stderr
     assert bad.read_bytes() == b"\xff\xfe\x00garbage\n"
+
+
+@pytest.mark.parametrize("flag", ["--config", "--fis"])
+def test_non_utf8_setting_file_exits_two(tmp_path, flag):
+    stream = tmp_path / "s.csv"
+    run_cli("simulate", "--n", "10", "-o", str(stream))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"window = 5\n\xff\n")
+    proc = run_cli("validate", str(stream), flag, str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert f"{bad}: line 2: byte 0xff is not UTF-8" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -409,7 +423,17 @@ def test_unwritable_destination_exits_two(tmp_path, command):
     assert str(dest) in proc.stderr
 
 
-@pytest.mark.parametrize("model_text", ["not json\n", '{"mean": [1, 2]}\n'])
+@pytest.mark.parametrize(
+    "model_text",
+    [
+        "not json\n",
+        '{"mean": [1, 2]}\n',
+        # non-finite numbers, which would keep SPE from ever tripping
+        '{"mean": [NaN, 2], "components": [[0.6, 0.8]], "k": 1, "spe_threshold": 0.5}\n',
+        '{"mean": [1, 2], "components": [[0.6, Infinity]], "k": 1, "spe_threshold": 0.5}\n',
+        '{"mean": [1, 2], "components": [[0.6, 0.8]], "k": 1, "spe_threshold": NaN}\n',
+    ],
+)
 def test_validate_unusable_spe_model_exits_two(tmp_path, model_text):
     stream = tmp_path / "s.csv"
     run_cli("simulate", "--n", "10", "-o", str(stream))
@@ -419,7 +443,7 @@ def test_validate_unusable_spe_model_exits_two(tmp_path, model_text):
     cfg.write_text(f"spe_model = {model}\nspe_fusion = a,b\n")
     proc = run_cli("validate", str(stream), "--config", str(cfg))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: invalid spe_model ")
+    assert proc.stderr.startswith(f"error: invalid spe_model {model}: ")
     assert len(proc.stderr.splitlines()) == 1
 
 
@@ -548,9 +572,12 @@ def test_simulate_labels_sidecar_marks_fault_window(tmp_path):
 
 
 def test_simulate_bad_fault_spec_exits_two(tmp_path):
-    proc = run_cli("simulate", "--n", "10", "--fault", "meteor:0:1:5",
+    proc = run_cli("simulate", "--n", "10", "--fault", "bogus:0:1:1",
                    "-o", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "'bogus' (choose from noise_burst, spike, stuck_at, drift)" in proc.stderr
     proc = run_cli("simulate", "--n", "10", "--fault", "spike:0:1",
                    "-o", str(tmp_path / "x.csv"))
     assert proc.returncode == 2

@@ -240,4 +240,4 @@ def test_validate_fis_flags_invariant_violations(kind, params, message):
     assert any(d.severity == "error" and message in d.message for d in diags)
     assert all(d.line is None for d in diags)
     with pytest.raises(ConfigError, match="fuzzy system is invalid"):
-        PipelineConfig(system=broken).validate()
+        PipelineConfig(system=broken)

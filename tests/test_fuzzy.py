@@ -70,6 +70,15 @@ def test_membership_bounded_everywhere():
         assert np.all(degs >= 0.0) and np.all(degs <= 1.0)
 
 
+def test_gaussian_far_past_its_center_is_zero_without_overflow_warning():
+    # -0.5 * z * z overflows to -inf past about 1e154 sigmas; its exp is 0
+    assert MembershipFunction.gaussian(1.0, 0.0)(1e300) == 0.0
+    assert MembershipFunction.gaussian(1.0, 0.0)(-1e300) == 0.0
+    distance = default_system().inputs[0]
+    assert all(mf.kind == "gaussian" for _, mf in distance.terms)
+    np.testing.assert_array_equal(distance.fuzzify(np.array([1e300, -1e300])), np.zeros((3, 2)))
+
+
 def test_fuzzify_matches_scalar_terms():
     var = LinguisticVariable(
         "v",

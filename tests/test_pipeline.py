@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sensorval import pipeline
+from sensorval import default_system, fisfile, pipeline
 from sensorval.detectors import _welford, pca_fit
 from sensorval.fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
 from sensorval.pipeline import (
@@ -488,7 +488,29 @@ _MODEL_2D = pca_fit(np.outer(_RNG.normal(0, 5, 30), [1.0, 0.8]) + _RNG.normal(0,
 )
 def test_config_rejects_bad_settings(kwargs):
     with pytest.raises(ConfigError):
-        PipelineConfig(**kwargs).validate()
+        PipelineConfig(**kwargs)
+
+
+def test_config_replace_checks_the_new_settings():
+    with pytest.raises(ConfigError):
+        dataclasses.replace(PipelineConfig(), window=1)
+
+
+def test_config_holds_the_shipped_rulebase_by_default():
+    assert PipelineConfig().system == default_system()
+
+
+def test_sensors_share_the_config_system_and_check_nothing(monkeypatch):
+    cfg = PipelineConfig()
+    calls = []
+    monkeypatch.setattr(fisfile, "validate_fis", lambda system: calls.append(system) or [])
+    v = Validator(cfg)
+    t = np.arange(60.0)
+    v.feed(t, 200.0 + np.sin(t), ["a", "b", "c"] * 20)
+    v.finalize()
+    assert calls == []
+    assert list(v.sensors) == ["a", "b", "c"]
+    assert all(v.sensors[s].system is cfg.system for s in v.sensors)
 
 
 def test_config_rejects_wrong_arity_system():
@@ -508,7 +530,7 @@ def test_config_rejects_wrong_arity_system():
         rules=(Rule((1, 1), (1,), 1.0, "and"),),
     )
     with pytest.raises(ConfigError):
-        PipelineConfig(system=bad).validate()
+        PipelineConfig(system=bad)
 
 
 # multi-sensor dispatch and SPE fusion

@@ -66,6 +66,11 @@ def test_fill_cycle_validates_geometry():
         generate(SignalProfile("fill_cycle", level=100.0, amplitude=50.0, slope=0.0), 5)
 
 
+def test_unknown_fault_kind_names_the_kinds():
+    with pytest.raises(ValueError, match="'bogus' \\(choose from noise_burst, spike, stuck_at, drift\\)"):
+        FaultSpec("bogus", 0, 1)
+
+
 def test_unknown_profile_kind_raises():
     with pytest.raises(ValueError):
         generate(SignalProfile("sawtooth"), n=3)
