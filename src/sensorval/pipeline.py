@@ -14,9 +14,9 @@ reading, the reanchor, accepting and rejecting. Two drivers feed it:
 
   * ``SensorValidator.step`` judges one reading on Python floats
   * ``SensorValidator._drive`` judges one sensor's recorded readings in
-    numpy blocks: features and inference for every row as if all were
-    accepted, then it commits rows in order; after a rejection it judges
-    again the rows whose features the rejection changed and goes on
+    numpy blocks, each swept to the fixed point of its accept mask: every
+    row inferred as if all were accepted, then, sweep by sweep, the rows
+    whose features the rejections change, in one inference call a sweep
 
 ``Validator`` routes each reading to its sensor and sets ``spe_trip``
 from PCA/SPE fusion. Its ``step`` is the live multi-sensor API. Its
@@ -331,12 +331,12 @@ class SensorValidator:
             return 0.0, v, False, bits
         return 0.0, self.est, True, bits
 
-    def _reanchor_due(self) -> bool:
+    def _reanchor_due(self, rejections: int) -> bool:
         cfg = self.config
-        return bool(cfg.reanchor_after) and self.rejections >= cfg.reanchor_after
+        return bool(cfg.reanchor_after) and rejections >= cfg.reanchor_after
 
     def _reanchor_if_due(self) -> None:
-        if self._reanchor_due():
+        if self._reanchor_due(self.rejections):
             # nothing has been believable for a long time: the world most
             # likely moved (level shift), so restart the estimate from the
             # live signal instead of rejecting forever
@@ -354,26 +354,28 @@ class SensorValidator:
         self.prev_t = t
         self.prev_accepted = accepted[-1]
 
-    def _accept(self, t: float, values: list[float]) -> None:
-        """Take in-order readings as they are; ``t`` is the last one's time."""
+    def _accepting(self, est: float | None, values: list[float]) -> tuple[float | None, int]:
+        """The estimate and the rejection count after taking ``values``."""
         alpha = self.config.reconstruction_alpha
-        est = self.est
         for x in values:
             est = x if est is None else alpha * x + (1 - alpha) * est
-        self.est = est
-        self.rejections = 0
+        return est, 0
+
+    @staticmethod
+    def _rejecting(est: float | None, rejections: int, v: float) -> tuple[float, bool, int]:
+        """(validated value, reconstructed, rejection count) after distrusting ``v``."""
+        return (v, False, 0) if est is None else (est, True, rejections + 1)
+
+    def _accept(self, t: float, values: list[float]) -> None:
+        """Take in-order readings as they are; ``t`` is the last one's time."""
+        self.est, self.rejections = self._accepting(self.est, values)
         # an accepted reading closes any episode (none is open in warm-up)
         self._keep(self.tracker.close())
         self._push(t, values, values)
 
     def _reject(self, t: float, v: float, conf: float, bits: int) -> tuple[float, bool]:
         """Replace a distrusted reading by the estimate, once there is one."""
-        if self.est is None:
-            accepted, reconstructed = v, False
-            self.rejections = 0
-        else:
-            accepted, reconstructed = self.est, True
-            self.rejections += 1
+        accepted, reconstructed, self.rejections = self._rejecting(self.est, self.rejections, v)
         self._keep(self.tracker.observe(t, v, conf, bits))
         self._push(t, [v], [accepted])
         return accepted, reconstructed
@@ -436,73 +438,103 @@ class SensorValidator:
             return conf, v, False, bits
         return (conf, *self._reject(t, v, conf, bits), bits)
 
-    def _judge(self, t: np.ndarray, v: np.ndarray, var: np.ndarray, bits: np.ndarray) -> tuple:
-        """(conf, bits) of in-order readings ``t, v`` from the current state,
-        each judged as if every reading before it is accepted. ``var`` is
-        the variance of each one's validated window; ``bits`` holds the
-        bits to keep, which gain those of the timestamps and inference."""
-        dts = t - np.concatenate(([self.prev_t], t[:-1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roc = np.where(dts == 0.0, 0.0, np.abs(v - np.concatenate(([self.prev_accepted], v[:-1]))) / dts)
-        res = infer_batch(self.system, np.column_stack([v, roc, np.sqrt(var)]))
-        conf = np.clip((res.values[:, 0] - self._conf_lo) / self._conf_span, 0.0, 1.0)
-        conf[res.no_rule_fired] = 0.0
-        bits = bits | (dts == 0.0) * FLAG_BITS["zero_interval"]
-        bits |= res.no_rule_fired * FLAG_BITS["no_rule_fired"]
-        bits |= res.out_of_range * FLAG_BITS["out_of_range"]
-        return conf, bits
+    def _replay(self, v: np.ndarray, ok: np.ndarray) -> np.ndarray:
+        """Validated values of in-order readings ``v`` if those not ``ok`` are
+        rejected, up to a rejection that makes a reanchor due."""
+        est, rejections = self.est, self.rejections
+        acc, i = v.copy(), 0
+        for j in np.flatnonzero(~ok).tolist():
+            if j > i:
+                est, rejections = self._accepting(est, v[i:j].tolist())
+            acc[j], _, rejections = self._rejecting(est, rejections, float(v[j]))
+            i = j + 1
+            if self._reanchor_due(rejections):
+                return acc[:i]
+        return acc
 
-    def _block(self, out: BatchResult, p: int, e: int) -> int:
+    def _commit(self, out: BatchResult, p: int, i: int, j: int, conf, bits, ok) -> int:
+        """Commit rows i..j-1 of the block at ``p`` as ``ok`` says, up to a
+        rejection that makes a reanchor due; returns the next row."""
+        t, v = out.timestamps[p:], out.raw[p:]
+        for k in (i + np.flatnonzero(~ok[i:j])).tolist() + [j]:
+            if k > i:
+                self.seen += k - i
+                self._accept(float(t[k - 1]), v[i:k].tolist())
+            if k == j or self._reanchor_due(self.rejections):
+                return k
+            self.seen += 1
+            reading = (float(t[k]), float(v[k]), float(conf[k]), int(bits[k]))
+            out.accepted[p + k], out.reconstructed[p + k] = self._reject(*reading)
+            i = k + 1
+
+    def _block(self, out: BatchResult, p: int, e: int, last: tuple | None) -> tuple[int, tuple]:
         """Judge in-order readings p..e-1 of ``out`` as one numpy block.
 
-        ``_judge`` first takes every row as accepted. Accepted runs are
-        committed in bulk. A rejection changes the features of the next
-        ``window - 1`` rows only (a rate of change and the validated
-        windows), so they are judged again and the block goes on. The raw
-        windows, and so the detector trips, do not depend on what is
-        accepted and are computed once. The bits already in
-        ``out.flagbits`` are the caller's, as ``step`` takes them, and are
-        kept. Returns the first row left unjudged: ``e``, or the row after
-        a rejection that makes a reanchor due. Needs a validated tail of
-        ``window - 1`` readings, past warm-up, no reanchor due.
+        A row's features depend only on the raw readings and on which rows
+        before it are accepted, so the accept mask is swept to a fixed
+        point: the first sweep infers every row as accepted; each commits
+        the rows up to the first one whose mask it changed, replays the
+        rest with the new mask, guessing that a second rejection in a row
+        runs on to the reanchor, and infers again each row whose features
+        that changes. The caller's bits in ``out.flagbits`` are kept. Needs
+        a validated tail of ``window - 1`` readings, past warm-up, no
+        reanchor due. Returns the first row left unjudged (``e``, or the
+        row after a rejection that makes a reanchor due) and the inferred
+        rows, which the next block reuses, as ``last``, where they match.
         """
-        cfg, w = self.config, self.config.window
+        cfg, w, n = self.config, self.config.window, e - p
         t, v = out.timestamps[p:e], out.raw[p:e]
-        out_conf, out_acc, out_bits = out.confidence[p:e], out.accepted[p:e], out.flagbits[p:e]
+        dts = t - np.concatenate(([self.prev_t], t[:-1]))
         var = _rolling_welford(v, np.asarray(self.tail), w)
         raw_var = var if self.raw_tail == self.tail else _rolling_welford(v, np.asarray(self.raw_tail), w)
-        kept = out_bits | (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
+        kept = out.flagbits[p:e] | (raw_var > cfg.variance_threshold) * FLAG_BITS["variance_trip"]
         kept |= (np.sqrt(raw_var / w) > cfg.uncertainty_threshold) * FLAG_BITS["uncertainty_trip"]
-        conf, bits = self._judge(t, v, var, kept)
-        n, i = e - p, 0
+        kept |= (dts == 0.0) * FLAG_BITS["zero_interval"]
+        out.accepted[p:e] = v   # a rejected row's is written when it is committed
+        # a std of -1 marks a row not inferred yet
+        x, conf, bits = np.full((n, 3), -1.0), np.empty(n), np.empty(n, dtype=kept.dtype)
+        for mine, theirs in zip((x, conf, bits), last[1:] if last else ()):
+            reuse = theirs[p - last[0] : p - last[0] + n]
+            mine[: len(reuse)] = reuse
+        acc, guess, i = v, np.ones(n, dtype=bool), 0   # guess: the mask acc follows
         while True:
-            ok = conf[i:] >= cfg.accept_threshold
-            j = n if ok.all() else i + int(np.argmin(ok))
-            if j > i:
-                out_conf[i:j], out_acc[i:j], out_bits[i:j] = conf[i:j], v[i:j], bits[i:j]
-                self.seen += j - i
-                self._accept(float(t[j - 1]), v[i:j].tolist())
-            if j == n:
-                return e
-            c, b = float(conf[j]), int(bits[j])
-            self.seen += 1
-            out_conf[j], out_bits[j] = c, b
-            out_acc[j], out.reconstructed[p + j] = self._reject(float(t[j]), float(v[j]), c, b)
-            i = j + 1
-            if i == n or self._reanchor_due():
-                return p + i
-            k = min(n, i + w - 1)
-            var = _rolling_welford(v[i:k], np.asarray(self.tail), w)
-            conf[i:k], bits[i:k] = self._judge(t[i:k], v[i:k], var, kept[i:k])
+            end = i + acc.size
+            prev = np.concatenate(([self.prev_accepted], acc[:-1]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                roc = np.where(dts[i:end] == 0.0, 0.0, np.abs(v[i:end] - prev) / dts[i:end])
+            new = np.column_stack([v[i:end], roc, np.sqrt(var)])
+            # rows compared as bytes, so that a NaN feature that stays NaN is unchanged
+            changed = np.flatnonzero(new.view("V24")[:, 0] != x[i:end].view("V24")[:, 0])
+            redo = slice(i, end) if changed.size == end - i else i + changed   # a slice is cheaper
+            x[i:end] = new
+            if changed.size:
+                res = infer_batch(self.system, x[redo])
+                scaled = np.clip((res.values[:, 0] - self._conf_lo) / self._conf_span, 0.0, 1.0)
+                conf[redo] = np.where(res.no_rule_fired, 0.0, scaled)
+                bits[redo] = kept[redo] | res.no_rule_fired * FLAG_BITS["no_rule_fired"]
+                bits[redo] |= res.out_of_range * FLAG_BITS["out_of_range"]
+            ok = conf >= cfg.accept_threshold
+            wrong = np.flatnonzero(ok[i:end] != guess[i:end])
+            i = self._commit(out, p, i, i + int(wrong[0]) + 1 if wrong.size else end, conf, bits, ok)
+            if i == end or self._reanchor_due(self.rejections):
+                out.confidence[p : p + i], out.flagbits[p : p + i] = conf[:i], bits[:i]
+                return p + i, (p, x, conf, bits)
+            if guess.all():   # first sweep: a row judged against a rejected one is guessed accepted
+                ok[1:] |= ~ok[:-1]
+            guess = ok
+            if self.rejections >= 2:
+                guess[i : i + (cfg.reanchor_after or n)] = False
+            acc = self._replay(v[i:], guess[i:])
+            var = _rolling_welford(v[i : i + acc.size], np.asarray(self.tail), w, acc)
 
     def _drive(self, out: BatchResult) -> None:
         """Judge this sensor's next readings in ``out``, in order, into its
-        outcome columns; the bits already in ``out.flagbits`` are the
-        caller's, as ``step`` takes them. Rows that cannot start a block
-        (warm-up, a validated tail shorter than ``window - 1``, a reanchor
-        due, a regressed timestamp) go through ``_row`` or ``_regressed``,
-        the rest through ``_block`` in blocks of ``_BLOCK_ROWS`` readings.
-        """
+        outcome columns; the bits in ``out.flagbits`` are the caller's, as
+        ``step`` takes them. Rows that cannot start a block (warm-up, a
+        validated tail shorter than ``window - 1``, a reanchor due, a
+        regressed timestamp) go through ``_row`` or ``_regressed``, the rest
+        through ``_block`` in blocks of ``_BLOCK_ROWS`` readings, each
+        handing the rows it inferred to the next."""
         cfg = self.config
         t, v, bits = out.timestamps, out.raw, out.flagbits
         n = t.size
@@ -514,9 +546,11 @@ class SensorValidator:
         self._t_max = float(newest[-1])
         regressed = np.flatnonzero(t < newest[:-1]).tolist() + [n]
         r = p = 0
+        last = None
         while p < n:
             at_regressed = p == regressed[r]
-            if at_regressed or self.seen < cfg.warmup or len(self.tail) < cfg.window - 1 or self._reanchor_due():
+            ready = self.seen >= cfg.warmup and len(self.tail) >= cfg.window - 1
+            if at_regressed or not ready or self._reanchor_due(self.rejections):
                 judge = self._regressed if at_regressed else self._row
                 out.confidence[p], out.accepted[p], out.reconstructed[p], bits[p] = judge(
                     float(t[p]), float(v[p]), int(bits[p])
@@ -524,7 +558,7 @@ class SensorValidator:
                 r += at_regressed
                 p += 1
             else:
-                p = self._block(out, p, min(p + _BLOCK_ROWS, regressed[r]))
+                p, last = self._block(out, p, min(p + _BLOCK_ROWS, regressed[r]), last)
 
     def finalize(self) -> list[FaultReport]:
         """Close any open episode and return all reports for this sensor."""
@@ -656,32 +690,28 @@ class BatchResult:
         )
 
 
-# readings per _drive block: a longer block infers more rows that a
-# reanchor stop throws away, a shorter one costs more per clean reading
+# readings per _drive block: each sweep goes over the rest of the block, so
+# a longer block costs more per faulty reading, a shorter one per clean one
 _BLOCK_ROWS = 4096
 
 
-def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int) -> np.ndarray:
+def _rolling_welford(values: np.ndarray, tail: np.ndarray, width: int, accepted=None) -> np.ndarray:
     """Fresh Welford variance of the window that ends at each new point.
 
     ``values`` are the new points and ``tail`` the ``width - 1`` points
-    before them, so every window is full: the one at i is
-    ``tail + values`` from i to i + width - 1.
+    before them, so every window is full: the one at i is the last
+    ``width - 1`` points of ``tail`` and ``accepted[:i]``, then
+    ``values[i]``. ``accepted`` defaults to ``values``.
     """
     k = len(values)
-    full = np.concatenate([tail, values])
-    if k < width:
-        # a block's rows judged again after a rejection: a pass over each
-        # window on Python floats costs less than a numpy pass per offset
-        points = full.tolist()
-        return np.array([_window_var(points[i : i + width])[0] for i in range(k)])
+    full = np.concatenate([tail, values if accepted is None else accepted])
     mean = np.zeros(k)
     m2 = np.zeros(k)
     # an inf reading turns its windows' statistics to NaN, silently, as
     # _welford does on Python floats
     with np.errstate(invalid="ignore"):
         for off in range(width):
-            x = full[off : off + k]
+            x = full[off : off + k] if off < width - 1 else values
             delta = x - mean
             mean += delta / (off + 1)
             m2 += delta * (x - mean)

@@ -378,6 +378,78 @@ def test_run_batch_infers_each_reading_about_once(monkeypatch):
     _assert_batch_matches_scalar(samples, PipelineConfig())
 
 
+def test_run_batch_sweeps_a_faulty_block_in_few_inference_calls(monkeypatch):
+    # the stream above: a block is swept to the fixed point of its accept
+    # mask in one inference call per sweep, not one call per rejection
+    # (re-judging the rows after each rejection made 239 calls)
+    rng = np.random.default_rng(208)
+    n = 5000
+    values = 200.0 + rng.normal(0.0, 1.0, n)
+    spikes = rng.choice(np.arange(100, 2900), size=n // 50, replace=False)
+    values[spikes] += rng.choice([-1.0, 1.0], spikes.size) * rng.uniform(15.0, 30.0, spikes.size)
+    values[3000:] += 80.0
+    calls = []
+    real = pipeline.infer_batch
+    monkeypatch.setattr(pipeline, "infer_batch", lambda system, points: calls.append(1) or real(system, points))
+    run_batch(PipelineConfig(), np.arange(float(n)), values, "s1")
+    assert len(calls) <= 60
+
+
+def _tiny_block_cases():
+    """(config, values) pairs whose faults meet block edges when blocks are
+    a few rows long."""
+    rng = np.random.default_rng(211)
+    n = 1500
+    base = 200.0 + rng.normal(0.0, 1.0, n)
+    spiky = base.copy()
+    spikes = rng.choice(np.arange(50, n), size=n // 50, replace=False)
+    spiky[spikes] += rng.choice([-1.0, 1.0], spikes.size) * rng.uniform(15.0, 30.0, spikes.size)
+    burst = base.copy()
+    burst[600:660] += rng.normal(0.0, 25.0, 60)
+    shifted = base.copy()
+    shifted[700:] += 80.0   # a lockout from 700, then a reanchor at 800
+    shifted[805] += 40.0    # a spike while the validated tail refills
+    # out-of-range readings from the reanchor on: each is rejected while
+    # there is no estimate, so a block starts with none
+    restart = shifted.copy()
+    restart[800:900] = 900.0 + rng.normal(0.0, 30.0, 100)
+    return {
+        "spikes": (PipelineConfig(), spiky),
+        "noise_burst": (PipelineConfig(), burst),
+        "reanchor": (PipelineConfig(), shifted),
+        "no_reanchor": (PipelineConfig(reanchor_after=0), shifted),
+        "no_estimate": (PipelineConfig(accept_threshold=0.55), restart),
+    }
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 20, 97])
+@pytest.mark.parametrize("case", list(_tiny_block_cases()))
+def test_tiny_blocks_equal_step(monkeypatch, case, block_rows):
+    # block edges land inside a lockout, on a reanchor and just after a
+    # rejection; run_batch and feed in pieces still give what step gives
+    cfg, values = _tiny_block_cases()[case]
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", block_rows)
+    starts = []
+    real = SensorValidator._block
+    monkeypatch.setattr(
+        SensorValidator, "_block", lambda sv, *args: starts.append(sv.est is None) or real(sv, *args)
+    )
+    t = np.arange(float(values.size))
+    stepped = Validator(cfg)
+    want = [stepped.step(Sample(x, y, "s1")) for x, y in zip(t.tolist(), values.tolist())]
+    reports = stepped.finalize()
+    whole = run_batch(cfg, t, values, "s1")
+    assert whole.outcomes() == want
+    assert whole.reports == reports
+    fed = Validator(cfg)
+    cuts = [0, 7, 250, 701, 800, 1013, values.size]
+    pieces = [fed.feed(t[a:e], values[a:e], "s1") for a, e in zip(cuts, cuts[1:])]
+    assert [o for piece in pieces for o in piece.outcomes()] == want
+    assert fed.finalize() == reports
+    assert any(o.reconstructed for o in want)
+    assert any(starts) == (case == "no_estimate")
+
+
 def test_run_batch_matches_scalar_after_an_inf_reading():
     # an inf reading sits in the validated window of the next 19 rows; the
     # two drivers must judge those rows from the same window statistics
@@ -612,12 +684,12 @@ def test_run_batch_matches_validator_step_on_a_fused_fleet():
     assert any("spe_trip" in r.dominant_flags for r in res.reports if r.sensor_id == "a")
 
 
-def test_feeding_a_stream_in_pieces_equals_one_run_batch():
+def test_feeding_a_stream_in_pieces_equals_one_run_batch(monkeypatch):
     # one Validator fed the pieces of a stream, cut anywhere, ends where a
     # single run_batch call does: 1-3 sensors, a and b fused by a PCA model
     # when drawn, spikes, a level shift that forces reanchors, duplicate,
-    # regressed and NaN timestamps with cuts drawn next to them, and empty
-    # pieces
+    # regressed and NaN timestamps with cuts drawn next to them, empty
+    # pieces, and blocks of any length
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rng = np.random.default_rng(29)
@@ -631,7 +703,7 @@ def test_feeding_a_stream_in_pieces_equals_one_run_batch():
     # readings, also past a cut
     @hypothesis.example(
         seed=0, n=100, sensors=1, fused=False, window=5, warmup=2, reanchor_after=30,
-        anomalies=[(0.3, "nan"), (0.8, "regressed")], cuts=[0.5],
+        anomalies=[(0.3, "nan"), (0.8, "regressed")], cuts=[0.5], block_rows=4096,
     )
     @hypothesis.given(
         seed=st.integers(0, 2**32 - 1),
@@ -645,8 +717,9 @@ def test_feeding_a_stream_in_pieces_equals_one_run_batch():
             st.tuples(st.floats(0.0, 1.0), st.sampled_from(["duplicate", "regressed", "nan"])), max_size=4
         ),
         cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+        block_rows=st.integers(1, 120),
     )
-    def check(seed, n, sensors, fused, window, warmup, reanchor_after, anomalies, cuts):
+    def check(seed, n, sensors, fused, window, warmup, reanchor_after, anomalies, cuts, block_rows):
         fused = fused and sensors >= 2
         cfg = PipelineConfig(
             window=window, warmup=warmup, reanchor_after=reanchor_after, report_after=3,
@@ -667,6 +740,7 @@ def test_feeding_a_stream_in_pieces_equals_one_run_batch():
                 at += [k, k + 1]
         bounds = sorted(at + [int(c * n) for c in cuts])
 
+        monkeypatch.setattr(pipeline, "_BLOCK_ROWS", block_rows)
         whole = run_batch(cfg, t, v, sids)
         validator = Validator(cfg)
         pieces = [
