@@ -12,9 +12,11 @@ or does not parse.
 
 ``validate`` streams: it opens its input and its destinations before it
 reads, then reads, judges and writes its input in pieces of whole lines,
-about ``_CHUNK_BYTES`` each, through one ``Validator``. So it holds one
-piece of the stream whatever its length, and outcomes reach ``-o`` while
-the input is still arriving.
+about ``_CHUNK_BYTES`` each, through one ``Validator``. An input of more
+than one piece (a pipe, or a file longer than a piece) is read and parsed
+by a forked reader process, one piece ahead of the judging. So it holds
+two pieces of the stream whatever its length, the one being judged and
+the next, and outcomes reach ``-o`` while the input is still arriving.
 An input error at line N exits 3 after the outcomes of the pieces before
 it are written. The reports follow at the end of the input.
 """
@@ -24,6 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
+import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import fields
@@ -46,7 +50,10 @@ __all__ = ["main"]
 _NUMBER_KEYS = {f.name: type(f.default) for f in fields(PipelineConfig) if type(f.default) in (int, float)}
 _PATH_KEYS = ("fis", "spe_model")
 # bytes of input that validate reads, judges and writes at a time, then
-# up to the end of the line: about 50,000 readings of a CSV stream
+# up to the end of the line: about 50,000 readings of a CSV stream. A
+# regular file of at most this many bytes is parsed in-process; any other
+# input by a reader process, which parses a piece while the one before it
+# is judged
 _CHUNK_BYTES = 1 << 20
 
 
@@ -114,6 +121,79 @@ def _pieces(path: str, f: BinaryIO) -> Iterator[tuple]:
         yield parsed
         del parsed
         start += lines
+
+
+@contextmanager
+def _read(path: str, f: BinaryIO):
+    """``_pieces(path, f)``: parsed in this process when ``f`` is a regular
+    file of at most one piece or there is no fork, since a reader process
+    would cost more than it saves; else by a forked reader process, one
+    piece ahead of the caller and stopped when the context exits.
+
+    The reader reads ``f`` through its own duplicate of the descriptor;
+    this process does not read ``f``. The pieces come over a pipe whose
+    write end only the reader holds, so a reader that dies ends the
+    caller's wait with an error rather than hanging it."""
+    try:
+        info = os.fstat(f.fileno())
+    except (OSError, ValueError):
+        info = None
+    if not hasattr(os, "fork") or info is None or (stat.S_ISREG(info.st_mode) and info.st_size <= _CHUNK_BYTES):
+        yield _pieces(path, f)
+        return
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    incoming, outgoing = ctx.Pipe(duplex=False)
+    # a forked child closes sys.stdin, so the reader gets its own fd
+    fd = os.dup(f.fileno())
+    reader = ctx.Process(target=_reader, args=(path, fd, incoming, outgoing))
+    try:
+        reader.start()
+    finally:
+        os.close(fd)
+        outgoing.close()
+    try:
+        yield _received(path, incoming, reader)
+    finally:
+        reader.terminate()
+        reader.join()
+        incoming.close()
+
+
+def _reader(path: str, fd: int, incoming, outgoing) -> None:
+    """The reader process: each piece of the input at ``fd`` sent in order,
+    then None, or the error that stops the input in place of its piece."""
+    # the main process stops the reader, also on Ctrl-C
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    incoming.close()
+    with open(fd, "rb") as f:
+        pieces = _pieces(path, f)
+        while True:
+            try:
+                piece = next(pieces, None)
+            except (InputError, OSError) as exc:
+                piece = exc
+            outgoing.send(piece)
+            if not isinstance(piece, tuple):
+                return
+
+
+def _received(path: str, incoming, reader) -> Iterator[tuple]:
+    """The pieces the reader sends, until its end; its error is raised here."""
+    while True:
+        try:
+            piece = incoming.recv()
+        except (EOFError, OSError):
+            reader.join()
+            raise OSError(
+                f"{path}: the reader process ended with exit code {reader.exitcode} before the end of the input"
+            ) from None
+        if piece is None:
+            return
+        if isinstance(piece, Exception):
+            raise piece
+        yield piece
 
 
 def _distinct_files(*paths: str | None) -> None:
@@ -208,15 +288,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         source = stack.enter_context(_source(args.input))
         out, rep = (stack.enter_context(_output(p)) if p else None for p in (args.output, args.reports))
-        for timestamps, sensor_ids, values in _pieces(args.input, source):
+        for timestamps, sensor_ids, values in stack.enter_context(_read(args.input, source)):
             res = validator.feed(timestamps, values, sensor_ids)
             samples += len(values)
             reconstructed += int(res.reconstructed.sum())
             if out:
                 svio.write_outcomes(out, res)
                 out.flush()
-            # drop this piece before the next one is read, so that one
-            # piece at a time is held
+            # drop this piece before the next one is taken, so that two
+            # pieces at a time are held: this one and the one read ahead
             del timestamps, sensor_ids, values, res
         reports = validator.finalize()
         if rep:

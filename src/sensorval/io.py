@@ -41,13 +41,23 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+    def __reduce__(self):
+        # the default rebuilds from args, the formatted text alone
+        return type(self), (self.message, self.line)
+
+
+# Each parser keeps one str per distinct sensor id in ``names``, so the ids
+# of a piece share a few objects, and a pickled piece carries each name once.
 
 
 def _parse_csv(lines: list[str], start: int) -> tuple[list[float], list[str], list[float]]:
     ts: list[float] = []
     sids: list[str] = []
     vals: list[float] = []
+    names: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=start):
         if not line or line.isspace():
             continue
@@ -64,7 +74,8 @@ def _parse_csv(lines: list[str], start: int) -> tuple[list[float], list[str], li
                 continue  # header row
             raise ParseError(f"non-numeric timestamp or value in {line.strip()!r}", lineno)
         ts.append(t)
-        sids.append(parts[1].strip())
+        sid = parts[1].strip()
+        sids.append(names.setdefault(sid, sid))
         vals.append(v)
     return ts, sids, vals
 
@@ -73,6 +84,7 @@ def _parse_jsonl(lines: list[str], start: int) -> tuple[list[float], list[str], 
     ts: list[float] = []
     sids: list[str] = []
     vals: list[float] = []
+    names: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=start):
         if not line or line.isspace():
             continue
@@ -84,7 +96,7 @@ def _parse_jsonl(lines: list[str], start: int) -> tuple[list[float], list[str], 
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad sample object: {exc}", lineno)
         ts.append(t)
-        sids.append(sid)
+        sids.append(names.setdefault(sid, sid))
         vals.append(v)
     return ts, sids, vals
 

@@ -1,8 +1,13 @@
 """Exit codes, file formats and pipe behavior of the sensorval CLI."""
 
+import io
 import json
+import multiprocessing
+import os
 import shlex
+import signal
 import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -11,6 +16,7 @@ import pytest
 
 import sensorval
 from sensorval import cli
+from sensorval import io as svio
 from sensorval.detectors import load_pca_model, pca_fit, save_pca_model
 from sensorval.io import read_labels, read_outcomes, read_stream, write_stream
 from sensorval.pipeline import PipelineConfig, Sample, Validator
@@ -113,12 +119,26 @@ def test_jsonl_stream_validates_like_the_same_csv_stream(tmp_path):
 
 
 # validate streams: it reads, judges and writes about cli._CHUNK_BYTES of its
-# input at a time, cut at the end of a line
+# input at a time, cut at the end of a line. A file of one piece is parsed
+# in-process; any other input by a reader process, forked with the patched
+# cli._CHUNK_BYTES. No reader outlives validate, whatever its exit.
 
 
 def _validate_in_process(capsys, *argv):
     code = cli.main(["validate", *map(str, argv)])
+    assert not multiprocessing.active_children()
     return code, capsys.readouterr().err
+
+
+def _validate_from(source, capsys, monkeypatch, stream, *argv):
+    """validate of ``stream`` in-process, named as a file or piped into
+    stdin as a shell pipeline pipes it; the exit code, stderr and the
+    input's name in error messages."""
+    if source == "file":
+        return *_validate_in_process(capsys, stream, *argv), stream
+    with subprocess.Popen(["cat", str(stream)], stdout=subprocess.PIPE) as cat:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(cat.stdout))
+        return *_validate_in_process(capsys, "-", *argv), "-"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -128,17 +148,21 @@ def test_validate_in_pieces_writes_what_it_writes_whole(tmp_path, capsys, monkey
     if fmt == "jsonl":
         _as_jsonl(stream, tmp_path / "burst.jsonl")
         stream = tmp_path / "burst.jsonl"
-    # one piece, a few lines a piece, one line a piece
-    runs = []
-    for chunk in (cli._CHUNK_BYTES, 200, 7):
+
+    def run(source, chunk):
         monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
-        out, reports = tmp_path / f"{chunk}.jsonl", tmp_path / f"{chunk}.json"
-        code, err = _validate_in_process(capsys, stream, "-o", out, "--reports", reports)
-        runs.append((code, err, out.read_bytes(), reports.read_bytes()))
-    assert runs[0][0] == 1
-    assert len(runs[0][2].splitlines()) == 400
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+        out, reports = tmp_path / f"{source}{chunk}.jsonl", tmp_path / f"{source}{chunk}.json"
+        code, err, _ = _validate_from(source, capsys, monkeypatch, stream, "-o", out, "--reports", reports)
+        return code, err, out.read_bytes(), reports.read_bytes()
+
+    # the file whole, parsed in-process
+    whole = run("file", cli._CHUNK_BYTES)
+    assert whole[0] == 1
+    assert len(whole[2].splitlines()) == 400
+    # one piece, a few lines a piece, one line a piece
+    for source in ("file", "stdin"):
+        for chunk in (cli._CHUNK_BYTES, 200, 7):
+            assert run(source, chunk) == whole, (source, chunk)
 
 
 @pytest.mark.parametrize(
@@ -155,13 +179,122 @@ def test_validate_input_error_mid_stream_exits_three_after_earlier_pieces(tmp_pa
     lines = stream.read_bytes().splitlines(keepends=True)
     lines[19] = bad + b"\n"
     stream.write_bytes(b"".join(lines))
-    out = tmp_path / "o.jsonl"
-    code, err = _validate_in_process(capsys, stream, "-o", out)
-    assert code == 3
-    assert err.startswith(f"error: {stream}: line 20: ")
+    for source in ("file", "stdin"):
+        out = tmp_path / f"{source}.jsonl"
+        code, err, name = _validate_from(source, capsys, monkeypatch, stream, "-o", out)
+        assert code == 3
+        assert err.startswith(f"error: {name}: line 20: ")
+        assert len(err.splitlines()) == 1
+        # the outcomes of lines 2-19, the pieces before line 20's
+        assert [o["timestamp"] for o in read_outcomes(out.read_text())] == [float(i) for i in range(18)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_validate_error_mid_stream_is_the_same_from_a_file_or_stdin(tmp_path, capsys, monkeypatch, fmt):
+    stream = tmp_path / "s.csv"
+    assert _simulate_burst(stream, n=40, burst="spike:10:1:50").returncode == 0
+    if fmt == "jsonl":
+        _as_jsonl(stream, tmp_path / "s.jsonl")
+        stream = tmp_path / "s.jsonl"
+    lines = stream.read_bytes().splitlines(keepends=True)
+    lines[19] = b"not a reading\n"
+    stream.write_bytes(b"".join(lines))
+    runs = []
+    for source, chunk in (("file", cli._CHUNK_BYTES), ("file", 7), ("stdin", 7)):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
+        out = tmp_path / f"{source}{chunk}.jsonl"
+        code, err, name = _validate_from(source, capsys, monkeypatch, stream, "-o", out)
+        runs.append((code, err.replace(f"error: {name}: ", "error: "), out.read_bytes()))
+    # the whole file fails before it is judged; in pieces, the readings
+    # before line 20 (after the CSV header) are judged and written
+    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+    assert runs[0][0] == 3 and runs[0][1].startswith("error: line 20: ")
+    assert runs[0][2] == b""
+    assert len(runs[1][2].splitlines()) == (18 if fmt == "csv" else 19)
+    assert runs[2][2] == runs[1][2]
+
+
+def test_validate_single_piece_file_starts_no_process(tmp_path, capsys, monkeypatch):
+    stream = tmp_path / "burst.csv"
+    assert _simulate_burst(stream).returncode == 0
+
+    def no_fork():
+        raise AssertionError("validate forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    # None in sys.modules makes the import fail
+    monkeypatch.setitem(sys.modules, "multiprocessing", None)
+    code, err = _validate_in_process(capsys, stream, "--reports", tmp_path / "r.json")
+    assert code == 1
+    assert err.startswith("400 samples, ")
+
+
+def test_validate_into_a_closed_pipe_exits_zero(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 200)
+    stream = tmp_path / "burst.csv"
+    assert _simulate_burst(stream).returncode == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    closed = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", closed)
+    try:
+        code, err = _validate_in_process(capsys, stream, "-o", "-")
+    finally:
+        try:
+            closed.close()
+        except BrokenPipeError:
+            pass
+    assert code == 0
+    assert err == ""
+
+
+def test_validate_stops_the_reader_when_judging_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 200)
+    stream = tmp_path / "burst.csv"
+    assert _simulate_burst(stream).returncode == 0
+    feed, calls = Validator.feed, []
+
+    def fails_at_the_second_piece(self, *args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("judging failed")
+        return feed(self, *args)
+
+    monkeypatch.setattr(Validator, "feed", fails_at_the_second_piece)
+    with pytest.raises(RuntimeError, match="judging failed"):
+        cli.main(["validate", str(stream)])
+    assert not multiprocessing.active_children()
+
+
+def test_validate_reader_killed_mid_stream_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 200)
+    stream = tmp_path / "burst.csv"
+    assert _simulate_burst(stream).returncode == 0
+    test_pid, read_stream = os.getpid(), svio.read_stream
+
+    def killed_at_line_100(text, start=1, fmt=None):
+        if start > 100 and os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_stream(text, start, fmt)
+
+    def hung(*_):
+        pytest.fail("validate waits for a dead reader")
+
+    monkeypatch.setattr(svio, "read_stream", killed_at_line_100)
+    # a validate that waited for the dead reader would hang the suite
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        out = tmp_path / "o.jsonl"
+        code, err = _validate_in_process(capsys, stream, "-o", out)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err.startswith(f"error: {stream}: the reader process ended with exit code {-signal.SIGKILL} ")
     assert len(err.splitlines()) == 1
-    # the outcomes of lines 2-19, the pieces before line 20's
-    assert [o["timestamp"] for o in read_outcomes(out.read_text())] == [float(i) for i in range(18)]
+    # the pieces read before the reader died are judged and written
+    assert 0 < len(out.read_bytes().splitlines()) < 400
 
 
 # lines end at "\n" alone: a "\r" before it is whitespace, and no other

@@ -4,11 +4,12 @@ and read back."""
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from sensorval.io import ParseError, read_outcomes, write_outcomes
+from sensorval.io import ParseError, read_outcomes, read_stream, write_outcomes
 from sensorval.pipeline import FLAG_NAMES, BatchResult, ValidationOutcome, flags_from_bits
 
 
@@ -59,3 +60,23 @@ def test_columns_are_written_as_json_dumps_writes_each_outcome():
 def test_read_outcomes_refuses_a_record_that_is_not_an_outcome_object(line):
     with pytest.raises(ParseError, match="line 2: outcome record lacks 'reconstructed'"):
         read_outcomes('{"reconstructed": false}\n' + line + "\n")
+
+
+def test_parse_error_survives_pickling_with_its_message_and_line():
+    # a parse error raised in another process reaches its parent pickled
+    err = pickle.loads(pickle.dumps(ParseError("bad", 5)))
+    assert type(err) is ParseError
+    assert str(err) == "line 5: bad"
+    assert err.line == 5
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0,a,1\n1,a ,2\n2,b,3\n3,a,4\n", "".join(f'{{"timestamp": {i}, "sensor_id": "{s}", "value": 1}}\n' for i, s in enumerate("aaba"))],
+    ids=["csv", "jsonl"],
+)
+def test_read_stream_keeps_one_str_per_sensor_id(text):
+    # so that a pickled piece carries each name once
+    _, sids, _ = read_stream(text)
+    assert sids == ["a", "a", "b", "a"]
+    assert sids[0] is sids[1] is sids[3]
